@@ -6,9 +6,6 @@
 //
 //	ascybench list                  # capability matrix of the v2 surface
 //	ascybench describe bst-tk       # one algorithm in detail
-//	ascybench loadgen -addr 127.0.0.1:11211 -out BENCH_server.json
-//	ascybench loadgen -algo all -duration 2s    # self-served per-algo sweep
-//	ascybench allocs -out BENCH_allocs.json     # allocs/op + SSMEM reuse ledger
 //	ascybench -list                 # Table 1: the algorithm catalogue
 //	ascybench -fig fig2a            # one experiment (fig2a..fig2d, fig3..fig9, rangemix, summary)
 //	ascybench -all                  # everything
@@ -16,9 +13,11 @@
 //	ascybench -fig fig8 -threads 16 -duration 1s -reps 3
 //	ascybench -bench ht-clht-lb -update 20 -initial 4096 -threads 8
 //	ascybench -bench sl-fraser-opt -rangepct 10 -rangespan 100
+//	ascybench -fig fig2a -cpu 1,2,4 # one pass per GOMAXPROCS value
 //
 // By default experiments run in quick mode (short runs, single repetition);
-// -paper restores the paper's measurement protocol.
+// -paper restores the paper's measurement protocol. Wire-level measurement
+// of the server lives in benchmark/ (see benchmark/README.md).
 package main
 
 import (
@@ -26,13 +25,13 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/ascy"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/server"
 	"repro/internal/workload"
 
 	_ "repro" // register all implementations via the facade package
@@ -53,18 +52,6 @@ func main() {
 			}
 			if err := describeAlgorithm(os.Args[2]); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
-		case "loadgen":
-			if err := runLoadgen(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "ascybench loadgen:", err)
-				os.Exit(1)
-			}
-			return
-		case "allocs":
-			if err := runAllocs(os.Args[2:]); err != nil {
-				fmt.Fprintln(os.Stderr, "ascybench allocs:", err)
 				os.Exit(1)
 			}
 			return
@@ -137,18 +124,50 @@ func main() {
 		}
 		return
 	}
-	cpus, err := parseIntList("-cpu", *cpuList)
+	cpus, err := parseCPUList(*cpuList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if err := server.RunCPUSweep(cpus, func(c int) error {
+	if err := cpuSweep(cpus, func(c int) error {
 		fmt.Printf("=== GOMAXPROCS %d ===\n", c)
 		return runOnce()
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// parseCPUList parses the -cpu flag: comma-separated GOMAXPROCS values.
+func parseCPUList(s string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
+			return nil, fmt.Errorf("bad -cpu entry %q (want positive integers, e.g. 1,2,4)", part)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}
+
+// cpuSweep runs fn once per core count with GOMAXPROCS set to it, and
+// restores the previous GOMAXPROCS when the sweep ends or fails. Counts
+// above NumCPU still run: the sweep records what the machine delivers
+// rather than truncating the axis.
+func cpuSweep(cpus []int, fn func(cpus int) error) error {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, c := range cpus {
+		if c <= 0 {
+			return fmt.Errorf("-cpu: invalid core count %d", c)
+		}
+		runtime.GOMAXPROCS(c)
+		if err := fn(c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func printCatalogue() {

@@ -11,9 +11,8 @@
 // The server speaks get/gets (multi-key), set/add/replace/cas, delete,
 // incr/decr, stats, version, flush_all, and quit, with per-connection
 // buffering and request pipelining. Drive it with any memcached client, or
-// with the repo's own load generator:
-//
-//	ascybench loadgen -addr 127.0.0.1:11211 -duration 5s -out BENCH_server.json
+// measure it with the repo's benchmark (benchmark/run.sh), which boots
+// ascyserve itself and checks every response byte.
 //
 // On SIGINT/SIGTERM the server drains connections and prints its stats.
 package main

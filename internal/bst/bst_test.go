@@ -143,7 +143,7 @@ func TestHowleySearchHelps(t *testing.T) {
 	if res != hwFound {
 		t.Fatal("key 10 not found")
 	}
-	if curr.left.Load() != nil && curr.right.Load() != nil {
+	if !curr.left.Load().absent() && !curr.right.Load().absent() {
 		t.Skip("key 10 grew two children; pick a leaf for the planted mark")
 	}
 	if !curr.op.CompareAndSwap(currOp, &hwOp{state: hwMark}) {

@@ -185,11 +185,17 @@ func (t *Ellen) helpDelete(c *perf.Ctx, op *eDInfo) bool {
 }
 
 // helpMarked splices p (and the deleted leaf) out from under gp and cleans
-// the DFLAG.
+// the DFLAG. A surviving sibling leaf moves up as a copy: a leaf object then
+// never returns to a slot it left, so a late helper replaying a finished
+// insert's child CAS (expected l -> update newInternal) cannot re-install
+// that insert's already-deleted subtree over a later insert's leaf.
 func (t *Ellen) helpMarked(c *perf.Ctx, op *eDInfo) {
 	other := op.p.right.Load()
 	if other == op.l {
 		other = op.p.left.Load()
+	}
+	if !other.internal {
+		other = newELeaf(other.key, other.val)
 	}
 	casChild(c, op.gp, op.p, other)                                    // dchild
 	if op.gp.update.CompareAndSwap(op.flagUpd, &eUpd{state: eClean}) { // dunflag

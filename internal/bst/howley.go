@@ -57,25 +57,40 @@ type hwChildCASOp struct {
 }
 
 type hwRelocateOp struct {
-	state                 atomic.Int32 // relocOngoing/Successful/Failed
-	dest                  *hwNode
-	destOp                *hwOp
-	removeKey, replaceKey uint64
-	replaceValue          uint64
+	state           atomic.Int32 // relocOngoing/Successful/Failed
+	dest            *hwNode
+	destOp          *hwOp
+	released        *hwOp // dest's op word once the copy is done
+	remove, replace *hwPair
+}
+
+// hwPair is a node's immutable key/value pair. A relocation swaps the whole
+// pair with one CAS from the removed pair, which no node ever holds again:
+// readers never see a torn pair, and a late helper cannot overwrite a later
+// relocation into the same node however the keys and values repeat.
+type hwPair struct {
+	key core.Key
+	val core.Value
 }
 
 type hwNode struct {
-	key   atomic.Uint64 // mutable: relocation overwrites it
-	value atomic.Uint64
+	kv    atomic.Pointer[hwPair] // mutable: relocation replaces it
 	left  atomic.Pointer[hwNode]
 	right atomic.Pointer[hwNode]
 	op    atomic.Pointer[hwOp]
+	null  bool // an empty child slot left by a splice; see absent
 }
+
+// absent reports whether a child pointer denotes no node. A splice that
+// empties a slot installs a fresh null node rather than nil, the Go
+// rendering of the C original's SETNULL(curr): a child slot never returns
+// to a value it held before, so a late helper replaying an old ChildCAS
+// (expected nil -> update n) cannot resurrect a node spliced out since.
+func (n *hwNode) absent() bool { return n == nil || n.null }
 
 func newHWNode(k core.Key, v core.Value) *hwNode {
 	n := &hwNode{}
-	n.key.Store(uint64(k))
-	n.value.Store(uint64(v))
+	n.kv.Store(&hwPair{key: k, val: v})
 	n.op.Store(hwNoneOp)
 	return n
 }
@@ -123,7 +138,7 @@ retry:
 		var lastRight *hwNode = curr
 		var lastRightOp *hwOp = currOp
 		next := curr.right.Load()
-		for next != nil {
+		for !next.absent() {
 			pred, predOp = curr, currOp
 			curr = next
 			currOp = curr.op.Load()
@@ -133,7 +148,7 @@ retry:
 				continue retry
 			}
 			c.Inc(perf.EvTraverse)
-			ckey := core.Key(curr.key.Load())
+			ckey := curr.kv.Load().key
 			switch {
 			case k < ckey:
 				result = hwNotFoundL
@@ -143,10 +158,16 @@ retry:
 				next = curr.right.Load()
 				lastRight, lastRightOp = curr, currOp
 			default:
+				if currOp != curr.op.Load() {
+					// A relocation into curr may have changed its
+					// key since we read the op word.
+					c.Inc(perf.EvRestart)
+					continue retry
+				}
 				return pred, predOp, curr, currOp, hwFound
 			}
 		}
-		if lastRightOp != lastRight.op.Load() {
+		if lastRightOp != lastRight.op.Load() || currOp != curr.op.Load() {
 			// A deletion may have moved things behind our back.
 			c.Inc(perf.EvRestart)
 			continue retry
@@ -187,8 +208,11 @@ func (t *Howley) helpChildCAS(c *perf.Ctx, op *hwOp, dest *hwNode) {
 // ChildCAS on pred.
 func (t *Howley) helpMarked(c *perf.Ctx, pred *hwNode, predOp *hwOp, curr *hwNode) {
 	newRef := curr.left.Load()
-	if newRef == nil {
+	if newRef.absent() {
 		newRef = curr.right.Load()
+		if newRef.absent() {
+			newRef = &hwNode{null: true}
+		}
 	}
 	isLeft := curr == pred.left.Load()
 	casOp := &hwOp{state: hwChildCAS, child: &hwChildCASOp{isLeft: isLeft, expected: curr, update: newRef}}
@@ -223,13 +247,11 @@ func (t *Howley) helpRelocate(c *perf.Ctx, op *hwRelocateOp, pred *hwNode, predO
 		}
 	}
 	if seen == relocSuccessful {
-		// Copy the pair into dest (idempotent: all helpers write the
-		// same values) and release dest's op word.
-		op.dest.key.Store(op.replaceKey)
-		op.dest.value.Store(op.replaceValue)
+		// Copy the pair into dest and release dest's op word.
+		op.dest.kv.CompareAndSwap(op.remove, op.replace)
 		c.Inc(perf.EvStore)
 		if w := op.dest.op.Load(); w.state == hwRelocate && w.reloc == op {
-			if op.dest.op.CompareAndSwap(w, newHWNoneOp()) {
+			if op.dest.op.CompareAndSwap(w, op.released) {
 				c.Inc(perf.EvCAS)
 			}
 		}
@@ -244,12 +266,15 @@ func (t *Howley) helpRelocate(c *perf.Ctx, op *hwRelocateOp, pred *hwNode, predO
 		if curr.op.CompareAndSwap(w, target) {
 			c.Inc(perf.EvCAS)
 			if seen == relocSuccessful {
-				// predOp may be stale by now (when pred == dest,
-				// the claim above replaced its op word); splice
-				// against pred's current op so the excision does
-				// not silently fail and leave the marked node to
-				// a later traversal.
-				t.helpMarked(c, pred, pred.op.Load(), curr)
+				// When pred is dest, the claim above replaced
+				// pred's op word and the copy released it to
+				// op.released: splice against that. Splicing
+				// against pred's current op instead could
+				// overwrite a MARK or another operation's record.
+				if pred == op.dest {
+					predOp = op.released
+				}
+				t.helpMarked(c, pred, predOp, curr)
 			}
 		}
 	}
@@ -259,11 +284,18 @@ func (t *Howley) helpRelocate(c *perf.Ctx, op *hwRelocateOp, pred *hwNode, predO
 // SearchCtx implements core.Instrumented. Note: find helps pending
 // operations and restarts — howley's searches are not ASCY1, by design.
 func (t *Howley) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	_, _, curr, _, res := t.find(c, k, t.root)
-	if res == hwFound {
-		return core.Value(curr.value.Load()), true
+	for {
+		_, _, curr, _, res := t.find(c, k, t.root)
+		if res != hwFound {
+			return 0, false
+		}
+		if kv := curr.kv.Load(); kv.key == k {
+			return kv.val, true
+		}
+		// A relocation replaced curr's pair after find: k was removed
+		// meanwhile. Search again.
+		c.Inc(perf.EvRestart)
 	}
-	return 0, false
 }
 
 // InsertCtx implements core.Instrumented.
@@ -303,13 +335,18 @@ func (t *Howley) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		if res != hwFound {
 			return 0, false
 		}
-		val := core.Value(curr.value.Load())
-		if curr.right.Load() == nil || curr.left.Load() == nil {
+		kv := curr.kv.Load()
+		if kv.key != k {
+			// Relocated over since find; see SearchCtx.
+			c.Inc(perf.EvRestart)
+			continue
+		}
+		if curr.right.Load().absent() || curr.left.Load().absent() {
 			// At most one child: mark, then splice out.
 			if curr.op.CompareAndSwap(currOp, &hwOp{state: hwMark}) {
 				c.Inc(perf.EvCAS)
 				t.helpMarked(c, pred, predOp, curr)
-				return val, true
+				return kv.val, true
 			}
 			c.Inc(perf.EvCASFail)
 			c.Inc(perf.EvRestart)
@@ -337,16 +374,16 @@ func (t *Howley) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 			continue
 		}
 		reloc := &hwRelocateOp{
-			dest:         curr,
-			destOp:       currOp,
-			removeKey:    uint64(k),
-			replaceKey:   succ.key.Load(),
-			replaceValue: succ.value.Load(),
+			dest:     curr,
+			destOp:   currOp,
+			released: newHWNoneOp(),
+			remove:   kv,
+			replace:  succ.kv.Load(),
 		}
 		if succ.op.CompareAndSwap(succOp, &hwOp{state: hwRelocate, reloc: reloc}) {
 			c.Inc(perf.EvCAS)
 			if t.helpRelocate(c, reloc, pred2, predOp2, succ) {
-				return val, true
+				return kv.val, true
 			}
 		} else {
 			c.Inc(perf.EvCASFail)
@@ -373,7 +410,7 @@ func (t *Howley) Size() int {
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if nd == nil {
+		if nd.absent() {
 			continue
 		}
 		if nd.op.Load().state != hwMark {

@@ -136,28 +136,17 @@ func (t *Ellen) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
 // --- Howley (internal; keys are mutable under relocation) ---
 
 func hwAscend(nd *hwNode, lo core.Key, yield func(core.Key, core.Value) bool) bool {
-	if nd == nil {
+	if nd.absent() {
 		return true
 	}
-restart:
-	k := core.Key(nd.key.Load())
-	if lo < k && !hwAscend(nd.left.Load(), lo, yield) {
+	kv := nd.kv.Load()
+	if lo < kv.key && !hwAscend(nd.left.Load(), lo, yield) {
 		return false
 	}
 	// Nodes whose op word is MARK are logically deleted (awaiting
 	// excision), exactly as in Size.
-	if k >= lo && nd.op.Load().state != hwMark {
-		v := core.Value(nd.value.Load())
-		if core.Key(nd.key.Load()) != k {
-			// A concurrent relocation moved the successor's pair
-			// into this node between the key and value reads
-			// (helpRelocate stores key, then value); re-visit so
-			// we never yield a torn (old-key, new-value) pair.
-			// Re-yields from the repeated left descent are
-			// filtered by core.RangeAscend's ordering guard.
-			goto restart
-		}
-		if !yield(k, v) {
+	if kv.key >= lo && nd.op.Load().state != hwMark {
+		if !yield(kv.key, kv.val) {
 			return false
 		}
 	}

@@ -171,6 +171,15 @@ func (t *Natarajan) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 		parent := rec.parent
 		childAddr := parent.edge(k < parent.key)
 		leaf := rec.leaf
+		if rec.leafEdge.flag || rec.leafEdge.tag {
+			// The leaf is under deletion: swapping its edge for a router
+			// would drop the flag and bring the leaf back. Finish the
+			// removal first.
+			c.Inc(perf.EvHelp)
+			t.cleanup(c, k, rec)
+			c.Inc(perf.EvRestart)
+			continue
+		}
 		nl := newNMLeaf(k, v)
 		router := &nmNode{internal: true}
 		if k < leaf.key {

@@ -81,16 +81,20 @@ func (h *LF) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 //
 //	dupValid    — k is VALID somewhere else (its value in dupVal): the
 //	              insert must fail;
-//	deferFirst  — k is INSERTING in a slot ordered before mine in chain
-//	              order: the caller must roll back and retry, deferring
-//	              to the chain-order winner so exactly one commits.
+//	firstB/I    — k is INSERTING in slot firstI of firstB, ordered before
+//	              mine in chain order: the caller must roll back, wait for
+//	              that slot to resolve and retry, deferring to the
+//	              chain-order winner so exactly one commits.
 //
 // An INSERTING duplicate ordered *after* mine cannot be ignored: its owner
 // may have scanned before my key became visible and would then commit
 // obliviously. Sequential consistency of the key stores guarantees at least
 // one of us sees the other, so the earlier-positioned inserter spins until
 // the later slot resolves (to VALID k → fail, or anything else → continue).
-func (h *LF) dupScan(c *perf.Ctx, k core.Key, myB *bucket, myI int) (dupVal core.Value, dupValid, deferFirst bool) {
+// The deferring side waits out the winner before retrying: if it re-acquired
+// its slot at once, the winner would keep finding it INSERTING and both
+// would spin for as long as the scheduler let them.
+func (h *LF) dupScan(c *perf.Ctx, k core.Key, myB *bucket, myI int) (dupVal core.Value, dupValid bool, firstB *bucket, firstI int) {
 	beforeMine := true
 	for b := &h.t.buckets[mix(k)&h.t.mask]; b != nil; b = b.next.Load() {
 	rescan:
@@ -112,26 +116,31 @@ func (h *LF) dupScan(c *perf.Ctx, k core.Key, myB *bucket, myI int) (dupVal core
 				if b.conc.Load() != s {
 					goto rescan
 				}
-				return core.Value(v), true, false
+				return core.Value(v), true, nil, 0
 			}
 			// INSERTING with (possibly stale) key k.
 			if beforeMine {
-				return 0, false, true
+				return 0, false, b, i
 			}
 			// Ordered after mine: wait for the owner's next step,
 			// then re-examine this bucket.
-			c.Inc(perf.EvWait)
-			for spin := 0; ; {
-				w := b.conc.Load()
-				if snapState(w, i) != slotInserting || b.key[i].Load() != uint64(k) {
-					break
-				}
-				spin = locks.Pause(spin)
-			}
+			awaitSlot(c, b, i, k)
 			goto rescan
 		}
 	}
-	return 0, false, false
+	return 0, false, nil, 0
+}
+
+// awaitSlot spins until slot i of b no longer holds an INSERTING k.
+func awaitSlot(c *perf.Ctx, b *bucket, i int, k core.Key) {
+	c.Inc(perf.EvWait)
+	for spin := 0; ; {
+		w := b.conc.Load()
+		if snapState(w, i) != slotInserting || b.key[i].Load() != uint64(k) {
+			return
+		}
+		spin = locks.Pause(spin)
+	}
 }
 
 // InsertCtx implements core.Instrumented.
@@ -207,14 +216,14 @@ func (h *LF) getOrInsertCtx(c *perf.Ctx, k core.Key, v core.Value) (core.Value, 
 
 		// Phase C: uniqueness re-check. A same-key insert may have
 		// committed (or be in flight) since phase A.
-		dupVal, dupValid, deferFirst := h.dupScan(c, k, myB, myI)
-		if dupValid || deferFirst {
+		dupVal, dupValid, firstB, firstI := h.dupScan(c, k, myB, myI)
+		if dupValid || firstB != nil {
 			h.rollback(c, myB, myI)
 			if dupValid {
 				return dupVal, false
 			}
 			c.Inc(perf.EvRestart)
-			spin = locks.Pause(spin)
+			awaitSlot(c, firstB, firstI, k)
 			continue
 		}
 

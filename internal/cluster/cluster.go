@@ -123,12 +123,12 @@ const (
 // — steady state allocates nothing.
 //
 // The mutex covers the one sanctioned concurrency in the client: a pipelined
-// caller may run the send half and the receive half on two goroutines (the
-// load generator does), which makes the ring a single-producer single-
-// consumer queue. Each request's push happens-before its own pop (the caller
-// must sequence a request's send before its receive to mean anything), but
-// the indices are shared between a later push and an earlier concurrent pop;
-// an uncontended mutex is nanoseconds and allocation-free.
+// caller may run the send half and the receive half on two goroutines, which
+// makes the ring a single-producer single-consumer queue. Each request's
+// push happens-before its own pop (the caller must sequence a request's send
+// before its receive to mean anything), but the indices are shared between a
+// later push and an earlier concurrent pop; an uncontended mutex is
+// nanoseconds and allocation-free.
 type routeRing struct {
 	mu   sync.Mutex
 	buf  []uint32
@@ -175,9 +175,8 @@ var errNoKeys = errors.New("cluster: get requires at least one key")
 // single-node client's surface — synchronous conveniences plus explicit
 // Send*/Recv* pipelining halves — and keeps its contract: not safe for
 // general concurrent use, open one per goroutine (the connection pool a
-// concurrent caller wants is a pool of Clients). The one sanctioned split,
-// matching how the load generator drives the single-node client: ONE
-// goroutine running the send half (Send*, Flush) while ONE other runs the
+// concurrent caller wants is a pool of Clients). The one sanctioned split:
+// ONE goroutine running the send half (Send*, Flush) while ONE other runs the
 // receive half (Recv*), each request's send sequenced before its receive.
 // The route ring is the only state both halves touch; it locks internally.
 //
@@ -188,7 +187,7 @@ var errNoKeys = errors.New("cluster: get requires at least one key")
 // pooled counting-sort permutation — exactly the shape Store.GetBatch uses
 // to group keys by shard — and one sub-get per touched node goes out; all
 // touched nodes then serve their slices concurrently. The steady-state send
-// and discard-receive paths allocate nothing, so the load generator's
+// and discard-receive paths allocate nothing, so the single-node client's
 // zero-alloc discipline survives the hop to cluster mode.
 type Client struct {
 	router *Router
@@ -238,13 +237,6 @@ func DialRetry(timeout time.Duration, addrs ...string) (*Client, error) {
 	return DialOptions(Options{DialTimeout: timeout}, addrs...)
 }
 
-// Nodes returns the node count.
-func (c *Client) Nodes() int { return len(c.nstates) }
-
-// Addrs returns the node address list (the cluster identity, in routing
-// order). The returned slice is the client's own; do not mutate it.
-func (c *Client) Addrs() []string { return c.addrs }
-
 // NodeReqs returns how many requests this client has routed to each node —
 // the client-side view of load balance (a broadcast counts once per node).
 func (c *Client) NodeReqs() []uint64 { return append([]uint64(nil), c.reqs...) }
@@ -255,17 +247,6 @@ func (c *Client) Router() *Router { return c.router }
 // Close stops the reconnectors, sends quit to every live node, and closes
 // the connections, returning the first error.
 func (c *Client) Close() error {
-	return c.shutdown(func(nc *server.Client) error { return nc.Close() })
-}
-
-// Abort closes every node transport without touching buffers; like the
-// single-node Abort it may be called from another goroutine to unblock the
-// owner.
-func (c *Client) Abort() error {
-	return c.shutdown(func(nc *server.Client) error { return nc.Abort() })
-}
-
-func (c *Client) shutdown(closeConn func(*server.Client) error) error {
 	c.stopped.Do(func() { close(c.stop) })
 	var first error
 	for i := range c.nstates {
@@ -278,7 +259,7 @@ func (c *Client) shutdown(closeConn func(*server.Client) error) error {
 		if nc == nil {
 			continue
 		}
-		if err := closeConn(nc); err != nil && first == nil {
+		if err := nc.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -315,11 +296,11 @@ func (c *Client) Flush() error {
 
 // --- pipelined send half ---
 
-// SendGet1 queues a single-key get on the key's node. The loadgen hot path:
-// one route, one node write, one ring push, no allocation. A key owned by a
-// non-up node (or whose node fails under the write) degrades per policy:
-// the ring entry carries the degraded tag and the receive half synthesizes,
-// so the pipeline never misaligns and the caller sees no send-side error.
+// SendGet1 queues a single-key get on the key's node: one route, one node
+// write, one ring push, no allocation. A key owned by a non-up node (or
+// whose node fails under the write) degrades per policy: the ring entry
+// carries the degraded tag and the receive half synthesizes, so the pipeline
+// never misaligns and the caller sees no send-side error.
 func (c *Client) SendGet1(withCAS bool, key string) error {
 	n := c.router.NodeOf(key)
 	c.reqs[n]++
@@ -469,11 +450,10 @@ func (c *Client) degradeRead(firstErr error) error {
 
 // RecvGetN consumes the response of one SendGet1/SendGet, discarding
 // payloads and returning entry and byte counts — the allocation-free
-// accounting receive the load generator drives. For a split get it sums the
-// touched nodes' sub-responses; a degraded group (its node down at send
-// time, or failed while the response was in flight) is synthesized per
-// policy, and the remaining groups are still consumed so the pipeline stays
-// aligned.
+// accounting receive. For a split get it sums the touched nodes'
+// sub-responses; a degraded group (its node down at send time, or failed
+// while the response was in flight) is synthesized per policy, and the
+// remaining groups are still consumed so the pipeline stays aligned.
 func (c *Client) RecvGetN() (entries int, dataBytes int64, err error) {
 	var firstErr error
 	for {
@@ -870,7 +850,7 @@ func (c *Client) aggregateStats(per []map[string]string) map[string]string {
 		agg[pfx+"_state"] = h.State.String()
 		agg[pfx+"_failovers"] = strconv.FormatUint(h.Failovers, 10)
 		if st != nil {
-			agg[pfx+"_reqs"] = strconv.FormatUint(server.ReqsServed(st), 10)
+			agg[pfx+"_reqs"] = strconv.FormatUint(reqsServed(st), 10)
 		}
 	}
 	agg["cluster_nodes_up"] = strconv.Itoa(up)
@@ -879,6 +859,17 @@ func (c *Client) aggregateStats(per []map[string]string) map[string]string {
 	agg["cluster_degraded_misses"] = strconv.FormatUint(c.degMisses.Load(), 10)
 	agg["cluster_degraded_errors"] = strconv.FormatUint(c.degErrors.Load(), 10)
 	return agg
+}
+
+// reqsServed sums a node's served-command counters from its stats map: the
+// per-node load figure reported as node<i>_reqs.
+func reqsServed(st map[string]string) uint64 {
+	var n uint64
+	for _, k := range [...]string{"cmd_get", "cmd_set", "cmd_delete", "cmd_incr", "cmd_decr", "cmd_flush", "cmd_mrange", "cmd_mmin", "cmd_mmax"} {
+		v, _ := strconv.ParseUint(st[k], 10, 64)
+		n += v
+	}
+	return n
 }
 
 // statSummable reports whether a stats field aggregates across nodes by

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/server"
-	"repro/internal/workload"
 )
 
 // startNodes boots n independent in-process servers on loopback ephemeral
@@ -138,7 +137,7 @@ func TestClusterGetMulti(t *testing.T) {
 }
 
 // TestClusterPipelined queues a mixed burst through the explicit Send*/Recv*
-// halves — the loadgen shape — and checks the responses come back in request
+// halves and checks the responses come back in request
 // order across the node fan-out, including split multi-gets mid-burst.
 func TestClusterPipelined(t *testing.T) {
 	addrs := startNodes(t, "ll-lazy", 4)
@@ -365,59 +364,8 @@ func TestClusterGetPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLoadgenCluster runs the real load generator against a 4-node cluster
-// through the Conn seam: the run must complete, spread server-side load over
-// every node, and surface the per-node accounting the BENCH artifact and
-// stdout report.
-func TestLoadgenCluster(t *testing.T) {
-	addrs := startNodes(t, "ht-clht-lb", 4)
-	cfg := server.LoadgenConfig{
-		Addr:     "cluster",
-		Conns:    2,
-		Pipeline: 8,
-		Duration: 150 * time.Millisecond,
-		Keys:     512,
-		Mix:      workload.Mix{UpdatePct: 20, RangePct: 5},
-		Seed:     7,
-		Dial: func() (server.Conn, error) {
-			return DialRetry(2*time.Second, addrs...)
-		},
-	}
-	res, err := server.RunLoadgen(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Ops == 0 {
-		t.Fatal("loadgen completed no operations")
-	}
-	if res.Algo != "ht-clht-lb" {
-		t.Fatalf("algo = %q (cluster stats aggregation broken?)", res.Algo)
-	}
-	if len(res.NodeLoads) != len(addrs) {
-		t.Fatalf("NodeLoads has %d entries, want %d", len(res.NodeLoads), len(addrs))
-	}
-	var total uint64
-	for i, nl := range res.NodeLoads {
-		if nl.Reqs == 0 {
-			t.Fatalf("node %d (%s) served no requests", i, nl.Addr)
-		}
-		if nl.Addr != addrs[i] {
-			t.Fatalf("node %d addr = %q, want %q", i, nl.Addr, addrs[i])
-		}
-		total += nl.Reqs
-	}
-	if total == 0 {
-		t.Fatal("no server-side requests recorded")
-	}
-	b := server.BenchRunOf(res)
-	if b.Nodes != 4 || len(b.NodeReqs) != 4 || len(b.NodeBatchDepthAvg) != 4 {
-		t.Fatalf("BenchRun v3 fields: nodes=%d node_reqs=%d node_batch_depth_avg=%d",
-			b.Nodes, len(b.NodeReqs), len(b.NodeBatchDepthAvg))
-	}
-}
-
 // TestClusterDialRetry: the cluster dial must absorb a node that binds late
-// (the CI launcher races loadgen against N booting processes), and a
+// (a client started alongside N booting processes), and a
 // failed dial must close the connections it already opened.
 func TestClusterDialRetry(t *testing.T) {
 	addrs := startNodes(t, "ht-clht-lb", 2)

@@ -381,8 +381,7 @@ func (c *Client) Health(i int) NodeHealth {
 	return NodeHealth{State: ns.state, Failovers: ns.failovers, Reconnects: ns.reconnects}
 }
 
-// NodeFailovers sums failover and reconnect events across the nodes — the
-// load generator's one-line health view of a run.
+// NodeFailovers sums failover and reconnect events across the nodes.
 func (c *Client) NodeFailovers() (failovers, reconnects uint64) {
 	for i := range c.nstates {
 		h := c.Health(i)

@@ -182,65 +182,6 @@ func (c *Client) RecvMRange() ([]server.Entry, error) {
 	return mergeScan(groups, int(limit)), nil
 }
 
-// RecvMRangeN consumes one SendMRange's fan-out without materializing
-// entries: each live node's stream is drained through the discarding
-// counting receive, and the summed count is truncated to the request's
-// (clamped) limit — valid because routing makes the per-node streams
-// key-disjoint, so the merge never discards duplicates, only the overflow
-// past the limit. dataBytes stays the transport-level total (every byte the
-// nodes sent, including merged-away overflow): it is the load generator's
-// wire-traffic measure, not a result size. This is the allocation-free
-// receive half the load generator drives scans through.
-func (c *Client) RecvMRangeN() (entries int, dataBytes int64, err error) {
-	limit := c.popScanLimit()
-	var firstErr error
-	total := 0
-	var bytes int64
-	for {
-		tag, ok := c.routes.pop()
-		if !ok {
-			return 0, 0, errNoRoute
-		}
-		switch {
-		case tag&routeDegMiss != 0:
-			c.degMisses.Add(1)
-		case tag&routeDegErr != 0:
-			c.degErrors.Add(1)
-			if firstErr == nil {
-				firstErr = ErrNodeDown
-			}
-		default:
-			n := int(tag & routeNodeMask)
-			nc, synth := c.recvEnter(n)
-			if !synth {
-				es, db, rerr := nc.RecvGetN()
-				var out error
-				synth, out = c.recvExit(n, nc, rerr)
-				if out != nil && firstErr == nil {
-					firstErr = out
-				}
-				if !synth && out == nil {
-					total += es
-					bytes += db
-				}
-			}
-			if synth {
-				firstErr = c.degradeRead(firstErr)
-			}
-		}
-		if tag&routeMore == 0 {
-			break
-		}
-	}
-	if firstErr != nil {
-		return 0, 0, firstErr
-	}
-	if uint64(total) > limit {
-		total = int(limit)
-	}
-	return total, bytes, nil
-}
-
 // RecvMExtreme consumes one SendMMin/SendMMax fan-out, keeping the globally
 // smallest (wantMax false) or largest (wantMax true) entry.
 func (c *Client) RecvMExtreme(wantMax bool) (server.Entry, bool, error) {

@@ -317,17 +317,31 @@ func TestWriteTimeoutUnblocksStalledClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Raw connection that requests the value repeatedly and never reads:
-	// the server's flushes must hit the deadline, not block forever.
+	// the server's flushes must hit the deadline, not block forever. A
+	// small receive buffer, and writing until a write fails rather than a
+	// fixed count, keep loopback buffer autotuning from absorbing the
+	// responses, so the server's write really blocks.
 	raw, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	for i := 0; i < 64; i++ {
-		if _, err := raw.Write([]byte("get big\r\n")); err != nil {
-			break // server already gave up on us: fine
+	if err := raw.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	reqs := bytes.Repeat([]byte("get big\r\n"), 64)
+	for {
+		if _, err := raw.Write(reqs); err != nil {
+			break // the server closed us, or stopped reading
 		}
 	}
+	// A write cut short by the client deadline leaves the server half a
+	// command. The server notices its failed write only once its input
+	// runs dry, and would wait out the idle timeout for the rest of that
+	// line: end the stream. A server still blocked in a write never reads
+	// this EOF, so the check below still fails without the write deadline.
+	raw.(*net.TCPConn).CloseWrite()
 	// The stalled connection must die, after which the healthy client
 	// still gets served (reclamation was not wedged).
 	deadline := time.Now().Add(5 * time.Second)

@@ -98,7 +98,7 @@ func (c *Client) SendGet(withCAS bool, keys ...string) error {
 }
 
 // SendGet1 queues a single-key get without the variadic call's slice — the
-// load generator's guaranteed-no-alloc form.
+// guaranteed-no-alloc form.
 func (c *Client) SendGet1(withCAS bool, key string) error {
 	if withCAS {
 		c.bw.WriteString("gets ")
@@ -111,7 +111,7 @@ func (c *Client) SendGet1(withCAS bool, key string) error {
 }
 
 // writeUint appends one space-prefixed decimal to the send buffer without
-// allocating (the load generator drives millions of these per second).
+// allocating.
 func (c *Client) writeUint(v uint64) {
 	c.bw.WriteByte(' ')
 	c.bw.Write(strconv.AppendUint(c.scratch[:0], v, 10))
@@ -143,8 +143,8 @@ func (c *Client) SendStore(verb, key string, flags uint32, exptime int64, data [
 // SendMRange queues an ordered range scan: lo <= key <= hi, at most limit
 // entries. The response is framed exactly like a get's (VALUE stanzas then
 // END), so any of the get receive halves pairs with it — RecvGet to
-// materialize the entries, RecvGetN for the load generator's
-// allocation-free accounting. Allocation-free.
+// materialize the entries, RecvGetN for allocation-free accounting.
+// Allocation-free.
 func (c *Client) SendMRange(lo, hi string, limit uint64) error {
 	c.bw.WriteString("mrange ")
 	c.bw.WriteString(lo)
@@ -304,10 +304,9 @@ func (c *Client) readLineSlice() ([]byte, error) {
 }
 
 // RecvGetN consumes the response of one SendGet, discarding the payloads,
-// and returns the number of entries and their total data bytes. It is the
-// allocation-free receive half the load generator uses: hit accounting
-// without materializing keys or values, so client-side GC activity cannot
-// leak into the latency samples.
+// and returns the number of entries and their total data bytes: the
+// allocation-free receive half, hit accounting without materializing keys
+// or values.
 func (c *Client) RecvGetN() (entries int, dataBytes int64, err error) {
 	for {
 		line, err := c.readLineSlice()
@@ -351,17 +350,6 @@ func (c *Client) RecvGetN() (entries int, dataBytes int64, err error) {
 		entries++
 		dataBytes += int64(size)
 	}
-}
-
-// RecvMRangeN consumes the response of one SendMRange, discarding the
-// payloads, and returns the entry count and total data bytes. A single
-// server answers a scan with exactly get framing (VALUE stanzas then END),
-// so this IS the discarding multi-get receive; the name exists because a
-// cluster endpoint's scan receive must additionally pop its pending-limit
-// queue and truncate the merged count, and the load generator drives both
-// through one interface.
-func (c *Client) RecvMRangeN() (entries int, dataBytes int64, err error) {
-	return c.RecvGetN()
 }
 
 // RecvStored receives a storage response and reports whether it was

@@ -20,8 +20,8 @@ func reserveAddr(t *testing.T) string {
 }
 
 // TestDialRetryLateListener: DialRetry must absorb a server that binds
-// after the client starts dialing — the launcher-script race where loadgen
-// starts while N ascyserve processes are still booting.
+// after the client starts dialing — a client started alongside a still
+// booting ascyserve.
 func TestDialRetryLateListener(t *testing.T) {
 	addr := reserveAddr(t)
 	go func() {

@@ -36,8 +36,8 @@ func serverError(line string) error {
 // and the client's pipeline is still perfectly aligned. Load generators and
 // proxies use the distinction to keep driving through a node outage — a
 // degraded error is countable and continuable, a transport error is not.
-// Defined here (not in the cluster package) so server-level consumers like
-// the load generator can test for it without importing the cluster layer.
+// Defined here (not in the cluster package) so server-level consumers can
+// test for it without importing the cluster layer.
 type DegradedError interface {
 	error
 	Degraded() bool

@@ -26,10 +26,9 @@
 //     dry, so a burst of n requests costs O(1) flushes, not n.
 //   - client.go — a minimal client for the same protocol, with explicit
 //     send/receive halves so callers can pipeline.
-//   - loadgen.go — a closed-loop pipelined load generator driving any
-//     memcached-protocol endpoint with the workload package's mixes,
-//     recording per-op latency percentiles; itself allocation-free per
-//     operation so client-side GC pauses cannot pollute the samples.
+//
+// Wire-level load and latency are measured by the repo's benchmark/
+// module, which drives a real ascyserve and checks every response byte.
 package server
 
 import (

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/workload"
 )
 
 // startServer boots a server on a loopback ephemeral port and returns it
@@ -324,42 +322,5 @@ func TestServerConcurrentClients(t *testing.T) {
 	cwg.Wait()
 	if v, ok, _ := c.Incr("shared", 0); !ok || v != 400 {
 		t.Fatalf("shared counter = %d, %v; want 400", v, ok)
-	}
-}
-
-func TestLoadgen(t *testing.T) {
-	s := startServer(t, "ht-clht-lb")
-	cfg := LoadgenConfig{
-		Addr:        s.Addr().String(),
-		Conns:       2,
-		Pipeline:    8,
-		Duration:    200 * time.Millisecond,
-		Keys:        512,
-		ValueSize:   32,
-		Mix:         workload.Mix{UpdatePct: 20, RangePct: 5},
-		SampleEvery: 2,
-		Seed:        1,
-	}
-	res, err := RunLoadgen(cfg)
-	if err != nil {
-		t.Fatalf("RunLoadgen: %v", err)
-	}
-	if res.Ops == 0 || res.Gets == 0 || res.Sets == 0 {
-		t.Fatalf("loadgen did no work: %+v", res)
-	}
-	if res.Algo != "ht-clht-lb" {
-		t.Fatalf("loadgen algo = %q", res.Algo)
-	}
-	if res.MGets == 0 {
-		t.Fatalf("range mix did not produce multi-gets: %+v", res)
-	}
-	all := res.Latency["all"]
-	if all.N == 0 || all.P(50) <= 0 || all.P(99) < all.P(50) {
-		t.Fatalf("latency summary implausible: %+v", all)
-	}
-	// The BENCH file round-trips.
-	path := t.TempDir() + "/BENCH_server.json"
-	if err := WriteBench(path, cfg, []LoadgenResult{res}); err != nil {
-		t.Fatalf("WriteBench: %v", err)
 	}
 }

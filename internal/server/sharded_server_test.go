@@ -461,25 +461,3 @@ func TestIdleConnectionReclaimed(t *testing.T) {
 		t.Fatal("silent connection still open after idle timeout")
 	}
 }
-
-// TestLoadgenReportsShards: the generator picks the shard count up from the
-// server's stats and carries it into the BENCH run.
-func TestLoadgenReportsShards(t *testing.T) {
-	s := startServerCfg(t, Config{Algo: "ll-lazy", Capacity: 1 << 10, Shards: 4})
-	res, err := RunLoadgen(LoadgenConfig{
-		Addr:     s.Addr().String(),
-		Conns:    2,
-		Pipeline: 4,
-		Duration: 100 * time.Millisecond,
-		Keys:     256,
-	})
-	if err != nil {
-		t.Fatalf("RunLoadgen: %v", err)
-	}
-	if res.Algo != "ll-lazy" || res.Shards != 4 {
-		t.Fatalf("loadgen saw algo=%q shards=%d, want ll-lazy/4", res.Algo, res.Shards)
-	}
-	if b := BenchRunOf(res); b.Shards != 4 {
-		t.Fatalf("BenchRun shards = %d, want 4", b.Shards)
-	}
-}

@@ -8,14 +8,18 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 )
 
-// statsDiffKeys is the full deterministic wire-counter surface: every
-// counter whose value is a pure function of the (deterministic) workload,
-// regardless of how connections interleave. Timing-dependent keys —
+// statsDiffKeys is the wire-counter surface that is a pure function of the
+// workload, however connections interleave. Excluded as timing-dependent:
 // uptime, time, curr_connections (close is asynchronous), the batch-depth
-// family (how commands clump into batches depends on scheduling), and the
-// value-pool ledger (reuse depends on GC timing) — are the only exclusions.
+// family (how commands clump into batches depends on scheduling), the
+// value-pool ledger (reuse depends on GC timing), and bytes_read/
+// bytes_written. CAS tokens come from the store-global Store.nextCAS and
+// travel in decimal (gets out, cas in), so with several connections the
+// byte totals depend on which connection draws which token. bytesDiffKeys
+// pins them in a single-connection run, where they are deterministic.
 var statsDiffKeys = []string{
 	"cmd_get", "cmd_set", "cmd_delete", "cmd_incr", "cmd_decr", "cmd_flush",
 	"get_hits", "get_misses",
@@ -24,23 +28,23 @@ var statsDiffKeys = []string{
 	"decr_hits", "decr_misses",
 	"cas_hits", "cas_misses", "cas_badval",
 	"protocol_errors",
-	"bytes_read", "bytes_written",
 	"curr_items", "total_connections",
 }
 
+var bytesDiffKeys = []string{"bytes_read", "bytes_written"}
+
 // runStatsWorkload boots a server (per-connection stat slots by default,
 // the pre-sharding single-global-slot reference when global is set), drives
-// an identical randomized mixed-verb stream from several concurrent
+// an identical randomized mixed-verb stream from conns concurrent
 // connections — keyspaces partitioned per connection so every hit/miss
 // outcome is deterministic under any interleaving — plus one malformed
 // frame (protocol_errors) and one final flush_all, and returns the server's
 // stats map read in-process.
-func runStatsWorkload(t *testing.T, global bool) map[string]string {
+func runStatsWorkload(t *testing.T, global bool, conns int) map[string]string {
 	t.Helper()
 	s := startServerCfg(t, Config{Algo: "ht-clht-lb", Shards: 4, globalWireStats: global})
 	addr := s.Addr().String()
 
-	const conns = 6
 	var wg sync.WaitGroup
 	for w := 0; w < conns; w++ {
 		wg.Add(1)
@@ -116,7 +120,6 @@ func runStatsWorkload(t *testing.T, global bool) map[string]string {
 	if err != nil {
 		t.Fatalf("raw dial: %v", err)
 	}
-	defer raw.Close()
 	br := bufio.NewReader(raw)
 	for _, frame := range []string{"bogus nonsense\r\n", "flush_all\r\n", "get w0-0\r\n"} {
 		if _, err := raw.Write([]byte(frame)); err != nil {
@@ -126,7 +129,18 @@ func runStatsWorkload(t *testing.T, global bool) map[string]string {
 			t.Fatalf("raw read after %q: %v", frame, err)
 		}
 	}
+	raw.Close()
 
+	// A connection counts its written bytes after the write returns, so
+	// the client can read a response before it is counted. Wait for every
+	// connection handler to exit before reading the totals.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.StatsMap()["curr_connections"] != "0" {
+		if time.Now().After(deadline) {
+			t.Fatal("connections still open 5s after the workload ended")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	return s.StatsMap()
 }
 
@@ -137,29 +151,33 @@ func runStatsWorkload(t *testing.T, global bool) map[string]string {
 // stream. Any counter dropped on the slot-lease path, double-counted on
 // release, or missed by aggregation diverges here.
 func TestPerConnStatsDifferential(t *testing.T) {
-	sharded := runStatsWorkload(t, false)
-	global := runStatsWorkload(t, true)
-	for _, k := range statsDiffKeys {
-		sv, ok := sharded[k]
-		if !ok {
-			t.Errorf("sharded stats missing %q", k)
-			continue
+	sharded := runStatsWorkload(t, false, 6)
+	compareStats(t, statsDiffKeys, sharded, runStatsWorkload(t, true, 6))
+	compareStats(t, bytesDiffKeys, runStatsWorkload(t, false, 1), runStatsWorkload(t, true, 1))
+	// The workload must actually have exercised the interesting paths —
+	// a differential between two zeros proves nothing.
+	for _, k := range []string{"cmd_get", "cmd_set", "get_hits", "get_misses",
+		"cas_hits", "cas_badval", "delete_hits", "incr_hits", "protocol_errors",
+		"bytes_read", "bytes_written"} {
+		if sharded[k] == "0" {
+			t.Errorf("workload never hit %s (counter is 0)", k)
 		}
-		gv, ok := global[k]
-		if !ok {
-			t.Errorf("global stats missing %q", k)
+	}
+}
+
+// compareStats reports every key whose value differs between the sharded
+// and global stats maps, or is missing from either.
+func compareStats(t *testing.T, keys []string, sharded, global map[string]string) {
+	t.Helper()
+	for _, k := range keys {
+		sv, sok := sharded[k]
+		gv, gok := global[k]
+		if !sok || !gok {
+			t.Errorf("%s missing: sharded=%v global=%v", k, sok, gok)
 			continue
 		}
 		if sv != gv {
 			t.Errorf("%s: sharded=%s global=%s", k, sv, gv)
-		}
-	}
-	// The workload must actually have exercised the interesting paths —
-	// a differential between two zeros proves nothing.
-	for _, k := range []string{"cmd_get", "cmd_set", "get_hits", "get_misses",
-		"cas_hits", "cas_badval", "delete_hits", "incr_hits", "protocol_errors"} {
-		if sharded[k] == "0" {
-			t.Errorf("workload never hit %s (counter is 0)", k)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // Percentiles reported throughout the paper's distribution plots.
@@ -22,24 +21,6 @@ type Recorder struct {
 // Add records one sample.
 func (r *Recorder) Add(ns int64) {
 	r.samples = append(r.samples, ns)
-}
-
-// Reserve pre-grows the sample buffer so steady-state recording does not
-// allocate (the zero-alloc load generator reserves its expected sample
-// count up front).
-func (r *Recorder) Reserve(n int) {
-	if cap(r.samples)-len(r.samples) < n {
-		grown := make([]int64, len(r.samples), len(r.samples)+n)
-		copy(grown, r.samples)
-		r.samples = grown
-	}
-}
-
-// AddSince records the latency of an operation that started at t0. It is
-// the recording helper the wire-level drivers use around a request's
-// send-to-response window.
-func (r *Recorder) AddSince(t0 time.Time) {
-	r.samples = append(r.samples, time.Since(t0).Nanoseconds())
 }
 
 // Merge appends other's samples.
@@ -97,29 +78,6 @@ func quantile(sorted []int64, q float64) int64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// P returns the p-th percentile in nanoseconds, if it was digested
-// (PaperPercentiles lists which); 0 otherwise.
-func (s Summary) P(p float64) int64 { return s.Percentiles[p] }
-
-// SummaryJSON is the machine-readable form of a Summary, in microseconds,
-// as emitted into BENCH_*.json files.
-type SummaryJSON struct {
-	N      int     `json:"n"`
-	MeanUS float64 `json:"mean_us"`
-	P50US  float64 `json:"p50_us"`
-	P99US  float64 `json:"p99_us"`
-}
-
-// JSON digests the summary for benchmark-file output.
-func (s Summary) JSON() SummaryJSON {
-	return SummaryJSON{
-		N:      s.N,
-		MeanUS: s.MeanNS / 1e3,
-		P50US:  float64(s.P(50)) / 1e3,
-		P99US:  float64(s.P(99)) / 1e3,
-	}
 }
 
 // String renders the summary as the paper's 1/25/50/75/99 row.

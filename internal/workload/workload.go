@@ -62,9 +62,7 @@ func (c Config) keyRange() uint64 {
 	return uint64(2 * c.Initial)
 }
 
-// Mix returns the operation mix of the configuration, for drivers (such as
-// the network load generator) that draw the same op sequence the in-process
-// harness would.
+// Mix returns the operation mix of the configuration.
 func (c Config) Mix() Mix {
 	return Mix{UpdatePct: c.UpdatePct, RangePct: c.RangePct, InsertBias: c.InsertBias}
 }
@@ -83,10 +81,7 @@ const (
 
 // Mix is a workload operation mix: the paper's update-percentage protocol
 // (updates split into insertions and removals by InsertBias, default
-// half/half) plus the v2 range-scan fraction. It is the single source of
-// truth for op drawing — the in-process harness and the wire-level load
-// generator both call Next, so a 10%-update run means the same thing
-// against a structure and against a server.
+// half/half) plus the v2 range-scan fraction.
 type Mix struct {
 	// UpdatePct is the percentage of operations that are updates.
 	UpdatePct int
