@@ -40,6 +40,16 @@
 //	sm := ascylib.MustNewStringMap[[]byte]("ht-clht-lf")
 //	sm.Put("user:42", []byte("profile"))
 //
+// ShardedStringMap[V] splits a string keyspace across S independent
+// StringMaps — the paper's "hash tables scale because they are already
+// sharded" observation applied one level up, so a hot list or tree becomes
+// S cool ones. NewShardedStringMap routes by hash; NewOrderedShardedStringMap
+// routes by key range over order-preserving shards, so scans walk the
+// shards in order. S = 1 is the unsharded case of either:
+//
+//	om, _ := ascylib.NewOrderedShardedStringMap[int]("sl-fraser-opt", 1)
+//	om.Put("apple", 1)
+//
 // Use Algorithms to enumerate the catalogue, and see DESIGN.md /
 // EXPERIMENTS.md for the reproduction of the paper's evaluation.
 //
@@ -127,18 +137,6 @@ func RecycleNodes(b bool) Option { return core.RecycleNodes(b) }
 // RecycleThreshold sets the per-goroutine garbage bound before an SSMEM
 // collection pass (<= 0 uses the paper's default of 512 freed locations).
 func RecycleThreshold(n int) Option { return core.RecycleThreshold(n) }
-
-// Sharded hash-partitions the key domain across n independent instances of
-// the structure — the paper's "hash tables scale because they are already
-// sharded" observation applied one level up, so a single hot list or tree
-// becomes n cool ones. Each shard is a complete instance with its own locks
-// and (with RecycleNodes) its own SSMEM epoch domain; Capacity is a total,
-// split across the shards. Point operations keep their per-structure
-// semantics; Size/Len and ForEach aggregate; ordering does not survive —
-// a sharded structure is never natively Ordered, so Map.Range/Min/Max fall
-// back to snapshot-and-sort (NativeOrder reports false). 0 or 1 builds a
-// single instance. See also ShardedStringMap for the string-keyed facade.
-func Sharded(n int) Option { return core.Shards(n) }
 
 // New constructs the named algorithm. Names are listed by Algorithms; the
 // headline ones are "ht-clht-lb", "ht-clht-lf", and "bst-tk".

@@ -11,7 +11,6 @@
 package ascylib_test
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -267,27 +266,6 @@ func BenchmarkAblationGracePeriod(b *testing.B) {
 		b.Run(algo, func(b *testing.B) {
 			runFigure(b, algo, 4096, 50)
 		})
-	}
-}
-
-// BenchmarkShardedKeyspace is the sharding experiment at the structure
-// level: each family's representative run unsharded and with the keyspace
-// hash-partitioned across 2, 4, and 8 independent instances, at equal
-// thread counts. The paper's Figure 2 shows hash tables scaling because
-// they are already sharded; this measures how much of that advantage the
-// serialized families (lists, and to a lesser degree trees) recover when
-// the same decomposition is applied one level up — and confirms CLHT, whose
-// buckets are the sharding, gains little.
-func BenchmarkShardedKeyspace(b *testing.B) {
-	for _, algo := range []string{"ll-lazy", "ll-harris", "sl-fraser-opt", "bst-tk", "ht-clht-lb"} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			shards := shards
-			b.Run(fmt.Sprintf("%s/shards-%d", algo, shards), func(b *testing.B) {
-				runFigure(b, algo, 4096, 10, func(c *workload.Config) {
-					c.Options = append(c.Options, core.Shards(shards))
-				})
-			})
-		}
 	}
 }
 

@@ -254,9 +254,9 @@ func runAdhoc(algo string, initial, update, rangePct int, rangeSpan uint64, thre
 func printMatrix() {
 	fmt.Println("v2 capability matrix (native = implemented in the structure; fallback = generic path in core)")
 	fmt.Println()
-	fmt.Printf("%-16s %-5s %-5s %-5s %-8s %-9s %-9s %-9s %-9s %-9s %-9s\n",
-		"algorithm", "class", "safe", "ascy", "ordered", "update", "getorins", "foreach", "range", "batch", "wirescan")
-	fmt.Println(strings.Repeat("-", 106))
+	fmt.Printf("%-16s %-5s %-5s %-5s %-8s %-9s %-9s %-9s %-9s %-9s\n",
+		"algorithm", "class", "safe", "ascy", "ordered", "update", "getorins", "foreach", "range", "wirescan")
+	fmt.Println(strings.Repeat("-", 96))
 	nf := func(native bool) string {
 		if native {
 			return "native"
@@ -279,16 +279,15 @@ func printMatrix() {
 			if c.NativeRange {
 				ws = "native"
 			}
-			fmt.Printf("%-16s %-5s %-5s %-5s %-8s %-9s %-9s %-9s %-9s %-9s %-9s\n",
+			fmt.Printf("%-16s %-5s %-5s %-5s %-8s %-9s %-9s %-9s %-9s %-9s\n",
 				a.Name, a.Class, yn(a.Safe), yn(a.ASCY), yn(a.Ordered),
 				nf(c.NativeUpdate), nf(c.NativeGetOrInsert),
-				nf(c.NativeForEach), nf(c.NativeRange), nf(c.NativeSearchBatch), ws)
+				nf(c.NativeForEach), nf(c.NativeRange), ws)
 		}
 	}
 	fmt.Println()
 	fmt.Println("every algorithm serves the whole surface: Update/GetOrInsert/ForEach via core.Extend,")
-	fmt.Println("Range/Min/Max via core.OrderedOf (sorted families natively, hash tables by snapshot+sort),")
-	fmt.Println("SearchBatch via core.BatcherOf (recycling/sharded structures amortize natively);")
+	fmt.Println("Range/Min/Max via core.OrderedOf (sorted families natively, hash tables by snapshot+sort);")
 	fmt.Println("wirescan is how `ascyserve -ordered` serves mrange: in-place traversal vs per-scan snapshot+sort")
 }
 
@@ -319,7 +318,6 @@ func describeAlgorithm(name string) error {
 	fmt.Printf("  getorinsert: %s\n", nf(c.NativeGetOrInsert))
 	fmt.Printf("  foreach:     %s\n", nf(c.NativeForEach))
 	fmt.Printf("  range:       %s\n", nf(c.NativeRange))
-	fmt.Printf("  searchbatch: %s\n", nf(c.NativeSearchBatch))
 	if c.NativeRange {
 		fmt.Printf("  wire-scan:   native (`ascyserve -ordered` mrange traverses the structure in place)\n")
 	} else {

@@ -110,12 +110,24 @@ func reportASCY3(t *testing.T, name string) Report {
 
 // TestASCY4Ordering asserts the paper's Figure 7 accounting in relative
 // form: natarajan and bst-tk touch fewer shared words per successful update
-// than the helping/locking trees.
+// than the helping/locking trees. ASCY4 compares a successful update's
+// stores with the sequential code's, so the faithful probe is one without
+// contention: a single worker, whose counts are then a pure function of the
+// seed. With several workers on a loaded machine, helping and lock retries
+// added stores the algorithm does not make alone, and once flipped bst-tk
+// over drachsler.
 func TestASCY4Ordering(t *testing.T) {
-	nat := report(t, "bst-natarajan").CoherencePerSuccUpdate
-	tk := report(t, "bst-tk").CoherencePerSuccUpdate
-	howley := report(t, "bst-howley").CoherencePerSuccUpdate
-	drachsler := report(t, "bst-drachsler").CoherencePerSuccUpdate
+	solo := probe
+	solo.Workers = 1
+	coh := func(name string) float64 {
+		r, err := CheckRegistered(name, solo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.CoherencePerSuccUpdate
+	}
+	nat, tk := coh("bst-natarajan"), coh("bst-tk")
+	howley, drachsler := coh("bst-howley"), coh("bst-drachsler")
 	if nat <= 0 || tk <= 0 || howley <= 0 || drachsler <= 0 {
 		t.Fatalf("probe produced empty profiles: nat=%v tk=%v howley=%v drachsler=%v", nat, tk, howley, drachsler)
 	}

@@ -116,17 +116,6 @@ type Config struct {
 	// batch is stamped for collection; <= 0 uses ssmem.DefaultThreshold
 	// (the paper's 512 locations).
 	RecycleThreshold int
-	// Shards partitions the key domain across that many independent
-	// instances of the structure (the paper's Figure 2 observation that
-	// hash tables scale because they are already sharded, applied one
-	// level up): each shard is a complete structure with its own locks,
-	// nodes, and — with Recycle — its own SSMEM epoch domain, so a hot
-	// list or tree becomes S cool ones. 0 or 1 builds a single instance.
-	// Sharding destroys structure-level ordering: a sharded set is never
-	// natively Ordered, and Range/Min/Max are served by the
-	// snapshot-and-sort fallback. Buckets is a total: each shard gets
-	// Buckets/Shards (floored at 1).
-	Shards int
 }
 
 // DefaultConfig returns the defaults used throughout the evaluation:
@@ -154,15 +143,8 @@ func (c Config) Validate() error {
 	if c.AsyncStepLimit < 0 {
 		return fmt.Errorf("core: AsyncStepLimit must be >= 0, got %d", c.AsyncStepLimit)
 	}
-	if c.Shards < 0 || c.Shards > MaxShards {
-		return fmt.Errorf("core: Shards must be in [0, %d], got %d", MaxShards, c.Shards)
-	}
 	return nil
 }
-
-// MaxShards bounds Config.Shards: far above any useful core count, low
-// enough that a typo cannot allocate millions of structures.
-const MaxShards = 1 << 10
 
 // Option mutates a Config.
 type Option func(*Config)
@@ -181,10 +163,6 @@ func RecycleNodes(b bool) Option { return func(c *Config) { c.Recycle = b } }
 
 // RecycleThreshold sets the per-allocator garbage bound before collection.
 func RecycleThreshold(n int) Option { return func(c *Config) { c.RecycleThreshold = n } }
-
-// Shards partitions the key domain across n independent instances of the
-// structure (see Config.Shards); 0 or 1 builds a single instance.
-func Shards(n int) Option { return func(c *Config) { c.Shards = n } }
 
 // Recycler is implemented by structures that integrate an SSMEM allocator
 // (natively, like ht-urcu-ssmem, or behind Config.Recycle). RecycleStats
@@ -239,10 +217,6 @@ type Capabilities struct {
 	// under a single traversal (one epoch bracket where the family
 	// recycles) instead of the ForEach fallback. See Snapshotter.
 	NativeSnapshot bool
-	// NativeSearchBatch: batched reads amortize real per-operation cost
-	// (one SSMEM epoch bracket for a whole batch, or shard-grouped routing)
-	// instead of looping Search.
-	NativeSearchBatch bool
 }
 
 // Caps probes the algorithm's native capabilities.
@@ -257,7 +231,6 @@ func (a Algorithm) Caps() Capabilities {
 	_, c.NativeForEach = s.(Iterable)
 	_, c.NativeRange = s.(Ordered)
 	_, c.NativeSnapshot = s.(Snapshotter)
-	_, c.NativeSearchBatch = s.(Batcher)
 	return c
 }
 
@@ -302,9 +275,6 @@ func New(name string, opts ...Option) (Set, error) {
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid configuration for %q: %w", name, err)
-	}
-	if cfg.Shards > 1 {
-		return newShardedSet(a, cfg), nil
 	}
 	return a.New(cfg), nil
 }

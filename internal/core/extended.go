@@ -53,16 +53,13 @@ type Iterable interface {
 }
 
 // Extended is the v2 operation surface: the paper's set interface plus
-// read-modify-write, get-or-insert, enumeration, and batched reads. Obtain
-// one for any registered algorithm with Extend (or NewExtended); SearchBatch
-// is served natively where the structure amortizes something real (see
-// Batcher) and by the serial fallback elsewhere.
+// read-modify-write, get-or-insert, and enumeration. Obtain one for any
+// registered algorithm with Extend (or NewExtended).
 type Extended interface {
 	Set
 	Updater
 	GetOrInserter
 	Iterable
-	Batcher
 }
 
 // Ordered is the sorted-scan interface, implemented natively by the ordered
@@ -95,7 +92,6 @@ type extWrap struct {
 	u  Updater
 	g  GetOrInserter
 	it Iterable
-	b  Batcher
 	sn Snapshotter
 	mu [updateStripes]sync.Mutex
 }
@@ -123,7 +119,6 @@ func Extend(s Set) Extended {
 	w.u, _ = s.(Updater)
 	w.g, _ = s.(GetOrInserter)
 	w.it, _ = s.(Iterable)
-	w.b, _ = s.(Batcher)
 	w.sn, _ = s.(Snapshotter)
 	if o, ok := s.(Ordered); ok {
 		// Keep the native ordered surface visible through the wrapper,
@@ -214,18 +209,6 @@ func (w *extWrap) Update(k Key, f UpdateFunc) (Value, bool) {
 			nv, keep = f(cur, true)
 		}
 	}
-}
-
-// SearchBatch implements Batcher, so batched reads survive the Extend
-// wrapper: native where the implementation amortizes (single epoch bracket,
-// shard grouping), the serial fallback elsewhere. The wrapper always
-// answers — like Search itself, batched reads have no capability gap.
-func (w *extWrap) SearchBatch(keys []Key, vals []Value, found []bool) {
-	if w.b != nil {
-		w.b.SearchBatch(keys, vals, found)
-		return
-	}
-	serialSearchBatch(w.Set, keys, vals, found)
 }
 
 // GetOrInsert implements GetOrInserter. The fallback loop needs no stripe:

@@ -18,7 +18,7 @@
 // Ascend. The hash tables fall back to ForEach, which still observes each
 // bucket at one instant; callers that need the stronger per-structure
 // bracket should prefer a natively Snapshotter backend (Caps reports
-// which is which, like Ordered and Batcher).
+// which is which, like Ordered).
 package core
 
 // Snapshotter is the consistent-cut enumeration interface.
@@ -40,7 +40,7 @@ func (s iterSnapshotter) Snapshot(yield func(Key, Value) bool) { s.it.ForEach(yi
 
 // SnapshotterOf returns a consistent-cut enumerator for s and reports
 // whether it is the structure's own (native == true) or the ForEach
-// fallback. Mirrors BatcherOf. The second return is false for sets that
+// fallback. Mirrors OrderedOf. The second return is false for sets that
 // implement neither interface (no structure in this library does — every
 // registered algorithm is at least Iterable — but out-of-tree sets may);
 // in that case the Snapshotter is nil.
@@ -59,27 +59,6 @@ func SnapshotterOf(s Set) (sn Snapshotter, native bool) {
 // whole ordered matrix — lists, skip lists, BSTs — gains native Snapshotter
 // here: one iterator pass, one epoch bracket where the family recycles.
 func (o OrderedVia) Snapshot(yield func(Key, Value) bool) { o.Ascend(0, yield) }
-
-// Snapshot enumerates shard by shard, taking each shard's own cut. The
-// combined enumeration is a per-shard cut, not a cross-shard atomic
-// snapshot — the same composition the server store documents for its
-// sharded keyspace.
-func (s *shardedSet) Snapshot(yield func(k Key, v Value) bool) {
-	for _, raw := range s.raw {
-		sn, _ := SnapshotterOf(raw)
-		stopped := false
-		sn.Snapshot(func(k Key, v Value) bool {
-			if !yield(k, v) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped {
-			return
-		}
-	}
-}
 
 // Snapshot on the generic wrapper forwards to the implementation's own cut
 // when it has one and falls back to ForEach otherwise, so SnapshotterOf

@@ -138,11 +138,6 @@ func (l *Harris) parseOpt(c *perf.Ctx, k core.Key) (left *lfNode, leftRef *lfRef
 func (l *Harris) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	a := ssmem.Pin(l.rec)
 	defer ssmem.Unpin(l.rec, a)
-	return l.searchPinned(a, c, k)
-}
-
-// searchPinned is the search body; the caller holds the epoch bracket.
-func (l *Harris) searchPinned(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (core.Value, bool) {
 	if l.optimized {
 		// ASCY1: traverse ignoring marks; no stores, no retries.
 		curr := l.head.next.Load().n
@@ -160,18 +155,6 @@ func (l *Harris) searchPinned(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Ke
 		return right.val, true
 	}
 	return 0, false
-}
-
-// SearchBatch implements core.Batcher: one epoch bracket for the whole
-// batch (see Lazy.SearchBatch). The unoptimized variant's searches may
-// still unlink marked spans mid-batch; they free into the same held
-// allocator, exactly as they would per operation.
-func (l *Harris) SearchBatch(keys []core.Key, vals []core.Value, found []bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
-	for i, k := range keys {
-		vals[i], found[i] = l.searchPinned(a, nil, k)
-	}
 }
 
 func (l *Harris) parse(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (left *lfNode, leftRef *lfRef, right *lfNode) {

@@ -82,11 +82,6 @@ func validateLazy(pred, curr *lazyNode) bool {
 func (l *Lazy) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	a := ssmem.Pin(l.rec)
 	defer ssmem.Unpin(l.rec, a)
-	return l.searchPinned(c, k)
-}
-
-// searchPinned is the search body; the caller holds the epoch bracket.
-func (l *Lazy) searchPinned(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	curr := l.head
 	for curr.key < k {
 		c.Inc(perf.EvTraverse)
@@ -96,20 +91,6 @@ func (l *Lazy) searchPinned(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		return curr.val, true
 	}
 	return 0, false
-}
-
-// SearchBatch implements core.Batcher: the whole batch of wait-free
-// traversals runs under a single SSMEM epoch bracket, so a pipelined burst
-// of n reads pays one allocator lease and one OpStart/OpEnd instead of n —
-// the per-operation fixed cost the paper blames for poor scaling, amortized
-// away. Reclamation of nodes freed meanwhile is delayed by at most the
-// batch's lifetime.
-func (l *Lazy) SearchBatch(keys []core.Key, vals []core.Value, found []bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
-	for i, k := range keys {
-		vals[i], found[i] = l.searchPinned(nil, k)
-	}
 }
 
 // InsertCtx implements core.Instrumented.

@@ -79,27 +79,11 @@ tryAgain:
 func (l *Michael) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	a := ssmem.Pin(l.rec)
 	defer ssmem.Unpin(l.rec, a)
-	return l.searchPinned(a, c, k)
-}
-
-// searchPinned is the search body; the caller holds the epoch bracket.
-func (l *Michael) searchPinned(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (core.Value, bool) {
 	_, _, curr := l.find(a, c, k)
 	if curr != l.tail && curr.key == k {
 		return curr.val, true
 	}
 	return 0, false
-}
-
-// SearchBatch implements core.Batcher: one epoch bracket for the whole
-// batch (see Lazy.SearchBatch); helping unlinks free into the held
-// allocator as usual.
-func (l *Michael) SearchBatch(keys []core.Key, vals []core.Value, found []bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
-	for i, k := range keys {
-		vals[i], found[i] = l.searchPinned(a, nil, k)
-	}
 }
 
 // InsertCtx implements core.Instrumented.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -336,12 +337,6 @@ func TestWriteTimeoutUnblocksStalledClient(t *testing.T) {
 			break // the server closed us, or stopped reading
 		}
 	}
-	// A write cut short by the client deadline leaves the server half a
-	// command. The server notices its failed write only once its input
-	// runs dry, and would wait out the idle timeout for the rest of that
-	// line: end the stream. A server still blocked in a write never reads
-	// this EOF, so the check below still fails without the write deadline.
-	raw.(*net.TCPConn).CloseWrite()
 	// The stalled connection must die, after which the healthy client
 	// still gets served (reclamation was not wedged).
 	deadline := time.Now().Add(5 * time.Second)
@@ -355,6 +350,66 @@ func TestWriteTimeoutUnblocksStalledClient(t *testing.T) {
 		t.Fatalf("healthy client after stall: %v %v", ok, err)
 	}
 	cl.Close()
+}
+
+// TestFailedWriteClosesConnWithPartialFrame: once a response write has
+// failed, the connection closes even when half a command line is buffered.
+// Without that, the server would wait in the read for the rest of the line
+// until the idle timeout (a minute here), serving a peer that reads nothing.
+func TestFailedWriteClosesConnWithPartialFrame(t *testing.T) {
+	const writeTimeout = 200 * time.Millisecond
+	s, err := New(Config{
+		Addr:            "127.0.0.1:0",
+		Algo:            "ht-clht-lb",
+		WriteBufferSize: 1 << 10, // tiny, so responses flush inline
+		WriteTimeout:    writeTimeout,
+		IdleTimeout:     time.Minute,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { s.Serve(); close(done) }()
+	defer func() { s.Close(); <-done }()
+
+	cl, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Set("big", 0, 0, bytes.Repeat([]byte("v"), 256<<10)); err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+
+	raw, err := net.Dial("tcp", s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := raw.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	// One multi-get whose 16 MiB response no socket buffer absorbs, so the
+	// server's write times out, followed in the same write by half a
+	// command line. The server reads both at once: the half line is in its
+	// read buffer when the write fails. Then hold the socket, reading
+	// nothing.
+	req := []byte("get" + strings.Repeat(" big", 64) + "\r\nget bi")
+	raw.SetWriteDeadline(time.Now().Add(time.Second))
+	if _, err := raw.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * writeTimeout)
+	for s.currConns.Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("connection with a failed write still open after %v: %d conns",
+				15*writeTimeout, s.currConns.Load())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 // TestServerScanPathAllocGate is the ordered-scan allocation gate: a

@@ -34,12 +34,12 @@ type Config struct {
 	// <= 0 means 1 (a single instance).
 	Shards int
 	// Ordered keys the store with the order-preserving encoding (see
-	// ascylib.OrderedStringMap) and range-partitions shards, lighting up the
-	// mrange/mmin/mmax commands: scans enumerate the keyspace in true
-	// lexicographic order. Without it those commands answer SERVER_ERROR —
-	// and hash placement stays uniform, which is why it is opt-in: ordered
-	// placement is what makes scans cheap on the sorted structures, and what
-	// clusters buckets on a hash table.
+	// ascylib.NewOrderedShardedStringMap) and range-partitions shards,
+	// lighting up the mrange/mmin/mmax commands: scans enumerate the
+	// keyspace in true lexicographic order. Without it those commands
+	// answer SERVER_ERROR — and hash placement stays uniform, which is why
+	// it is opt-in: ordered placement is what makes scans cheap on the
+	// sorted structures, and what clusters buckets on a hash table.
 	Ordered bool
 	// AcceptWorkers is the size of the sharded-accept pool: that many
 	// goroutines block in Accept concurrently, so connection setup under
@@ -566,7 +566,8 @@ func shedConn(c net.Conn) {
 // further input, so a burst of n requests costs O(1) TCP writes. The loop
 // owns one Batch (entries plus per-slot scratch) for its lifetime, so the
 // steady-state request path (parse → store → respond) performs no heap
-// allocation.
+// allocation. A failed response write ends the connection after the batch
+// that hit it: the peer is not reading, so nothing more is served.
 func (s *Server) handleConn(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
@@ -575,9 +576,13 @@ func (s *Server) handleConn(c net.Conn) {
 	defer s.releaseWireStats(ws)
 	r := newConnReader(c, s, ws)
 	br := newReader(r, s.cfg.ReadBufferSize)
-	bw := newWriter(&connWriter{c: c, ws: ws, timeout: s.cfg.WriteTimeout}, s.cfg.WriteBufferSize)
+	cw := &connWriter{c: c, ws: ws, timeout: s.cfg.WriteTimeout}
+	bw := newWriter(cw, s.cfg.WriteBufferSize)
 	var b Batch
 	for {
+		if cw.err != nil {
+			return
+		}
 		if br.Buffered() == 0 {
 			if err := bw.Flush(); err != nil {
 				return
@@ -970,11 +975,13 @@ func (r *connReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// connWriter counts bytes out and enforces the per-write deadline.
+// connWriter counts bytes out, enforces the per-write deadline, and keeps
+// the first write error for the connection loop.
 type connWriter struct {
 	c       net.Conn
 	ws      *wireStats
 	timeout time.Duration
+	err     error
 }
 
 func (w *connWriter) Write(p []byte) (int, error) {
@@ -984,6 +991,9 @@ func (w *connWriter) Write(p []byte) (int, error) {
 	n, err := w.c.Write(p)
 	if n > 0 {
 		w.ws.bytesWritten.Add(uint64(n))
+	}
+	if err != nil && w.err == nil {
+		w.err = err
 	}
 	return n, err
 }

@@ -30,109 +30,12 @@ func RunExtended(t *testing.T, safe, ordered bool, f Factory) {
 	t.Run("RangeModel", func(t *testing.T) { testRangeModel(t, f, ordered) })
 	t.Run("MinMax", func(t *testing.T) { testMinMax(t, f) })
 	t.Run("FallbackParity", func(t *testing.T) { testFallbackParity(t, f) })
-	t.Run("SearchBatchModel", func(t *testing.T) { testSearchBatchModel(t, f) })
 	if safe {
 		t.Run("ConcurrentUpdateCounter", func(t *testing.T) { testUpdateCounter(t, f) })
 		t.Run("ConcurrentUpdateManyKeys", func(t *testing.T) { testUpdateManyKeys(t, f) })
 		t.Run("ConcurrentGetOrInsertOnce", func(t *testing.T) { testGetOrInsertOnce(t, f) })
 		t.Run("ConcurrentRangeChurn", func(t *testing.T) { testRangeChurn(t, f) })
-		t.Run("ConcurrentSearchBatchChurn", func(t *testing.T) { testSearchBatchChurn(t, f) })
 	}
-}
-
-// testSearchBatchModel: a batched read must agree, key by key, with serial
-// Search on a quiescent set — through BatcherOf (native or fallback) and
-// through the Extend wrapper, for hit/miss mixes including duplicates.
-func testSearchBatchModel(t *testing.T, f Factory) {
-	s := f()
-	rng := rand.New(rand.NewSource(7))
-	present := map[core.Key]core.Value{}
-	for i := 0; i < 200; i++ {
-		k := core.Key(rng.Intn(400) + 1)
-		v := core.Value(rng.Uint64())
-		if s.Insert(k, v) {
-			present[k] = v
-		}
-	}
-	keys := make([]core.Key, 0, 256)
-	for i := 0; i < 250; i++ {
-		keys = append(keys, core.Key(rng.Intn(500)+1))
-	}
-	keys = append(keys, keys[0], keys[1]) // duplicates are legal
-	check := func(name string, b core.Batcher) {
-		vals := make([]core.Value, len(keys))
-		found := make([]bool, len(keys))
-		b.SearchBatch(keys, vals, found)
-		for i, k := range keys {
-			wv, wok := s.Search(k)
-			if found[i] != wok || (wok && vals[i] != wv) {
-				t.Fatalf("%s: key %d -> (%d, %v), Search says (%d, %v)",
-					name, k, vals[i], found[i], wv, wok)
-			}
-			if wok {
-				if mv, ok := present[k]; !ok || mv != wv {
-					t.Fatalf("model drift at key %d", k)
-				}
-			}
-		}
-	}
-	b, _ := core.BatcherOf(s)
-	check("BatcherOf", b)
-	check("Extend", core.Extend(s))
-}
-
-// testSearchBatchChurn: under concurrent inserts and removes on a disjoint
-// key range, a batched read over a stable key range must keep returning
-// exactly the stable keys — the batch shares one epoch bracket, and that
-// bracket must not let churn-freed nodes corrupt later lookups in the same
-// batch.
-func testSearchBatchChurn(t *testing.T, f Factory) {
-	s := f()
-	const stable = 64
-	keys := make([]core.Key, stable)
-	for i := range keys {
-		keys[i] = core.Key(2*i + 2) // even keys: stable
-		if !s.Insert(keys[i], core.Value(i)) {
-			t.Fatalf("insert %d", keys[i])
-		}
-	}
-	b, _ := core.BatcherOf(s)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := core.Key(2*rng.Intn(4096) + 1) // odd keys: churn
-				if rng.Intn(2) == 0 {
-					s.Insert(k, core.Value(k))
-				} else {
-					s.Remove(k)
-				}
-			}
-		}(int64(w))
-	}
-	vals := make([]core.Value, stable)
-	found := make([]bool, stable)
-	for round := 0; round < 200; round++ {
-		b.SearchBatch(keys, vals, found)
-		for i := range keys {
-			if !found[i] || vals[i] != core.Value(i) {
-				close(stop)
-				wg.Wait()
-				t.Fatalf("round %d: stable key %d -> (%d, %v)", round, keys[i], vals[i], found[i])
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // testUpdateModel replays a random tape of all five mutating operations

@@ -160,24 +160,6 @@ func (l *Fraser) parse(a *ssmem.Allocator[fNode], c *perf.Ctx, k core.Key, preds
 func (l *Fraser) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	a := ssmem.Pin(l.rec)
 	defer ssmem.Unpin(l.rec, a)
-	return l.searchPinned(a, c, k)
-}
-
-// SearchBatch implements core.Batcher: the whole batch of tower descents
-// runs under one SSMEM epoch bracket instead of one per key, amortizing
-// the allocator lease and OpStart/OpEnd that dominate a short descent's
-// fixed cost. Reclamation of towers freed meanwhile is delayed by at most
-// the batch's lifetime.
-func (l *Fraser) SearchBatch(keys []core.Key, vals []core.Value, found []bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
-	for i, k := range keys {
-		vals[i], found[i] = l.searchPinned(a, nil, k)
-	}
-}
-
-// searchPinned is the search body; the caller holds the epoch bracket.
-func (l *Fraser) searchPinned(a *ssmem.Allocator[fNode], c *perf.Ctx, k core.Key) (core.Value, bool) {
 	if l.optimized {
 		// ASCY1: pure traversal.
 		pred := l.head

@@ -133,11 +133,6 @@ func (l *Pugh) getLock(c *perf.Ctx, start *pNode, k core.Key, lvl int) *pNode {
 func (l *Pugh) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	a := ssmem.Pin(l.rec)
 	defer ssmem.Unpin(l.rec, a)
-	return l.searchPinned(c, k)
-}
-
-// searchPinned is the search body; the caller holds the epoch bracket.
-func (l *Pugh) searchPinned(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	pred := l.head
 	for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
 		curr := pred.next[lvl].Load()
@@ -156,16 +151,6 @@ func (l *Pugh) searchPinned(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		}
 	}
 	return 0, false
-}
-
-// SearchBatch implements core.Batcher: one epoch bracket for the whole
-// batch of descents (see Fraser.SearchBatch).
-func (l *Pugh) SearchBatch(keys []core.Key, vals []core.Value, found []bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
-	for i, k := range keys {
-		vals[i], found[i] = l.searchPinned(nil, k)
-	}
 }
 
 // InsertCtx implements core.Instrumented.

@@ -136,7 +136,7 @@ func (s Stats) ReuseRate() float64 {
 }
 
 // Add accumulates o into s field by field — the one summation the
-// shard-aggregating callers (sharded sets, sharded stores) share.
+// shard-aggregating callers (ShardedStringMap, the server's store) share.
 func (s *Stats) Add(o Stats) {
 	s.Allocs += o.Allocs
 	s.Frees += o.Frees

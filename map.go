@@ -42,7 +42,7 @@ type IntKey interface {
 // fallback Updates are atomic against each other through this Map.
 type Map[K IntKey, V any] struct {
 	set    core.Extended
-	raw    core.Set // the unwrapped structure (recycling stats, shard probing)
+	raw    core.Set // the unwrapped structure (recycling stats, snapshots)
 	ord    core.Ordered
 	native bool
 	signed bool
@@ -312,17 +312,12 @@ func (m *Map[K, V]) Snapshot(yield func(K, V) bool) bool {
 }
 
 // NativeOrder reports whether the backing structure enumerates in key order
-// itself; when false, Range/Min/Max snapshot and sort (O(n log n)). A map
-// built with Sharded(n > 1) is never natively ordered.
+// itself; when false, Range/Min/Max snapshot and sort (O(n log n)).
 func (m *Map[K, V]) NativeOrder() bool { return m.native }
 
-// NumShards reports how many independent structure instances back the map:
-// n for a map built with Sharded(n > 1), otherwise 1.
-func (m *Map[K, V]) NumShards() int { return core.NumShards(m.raw) }
-
-// RecycleStats returns the backing structure's SSMEM allocator counters —
-// summed across shards when the map is sharded — and a zero Stats when the
-// structure was built without recycling (or does not support it).
+// RecycleStats returns the backing structure's SSMEM allocator counters, and
+// a zero Stats when the structure was built without recycling (or does not
+// support it).
 func (m *Map[K, V]) RecycleStats() ssmem.Stats {
 	if r, ok := m.raw.(core.Recycler); ok {
 		return r.RecycleStats()

@@ -4,217 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/settest"
 )
 
-// shardedBackends is the conformance roster the sharding PR promises: at
-// least one list, one skip list, and one CLHT backend, run through the full
-// v1 + v2 suites behind a 4-way sharded facade (with SSMEM recycling on
-// where the structure supports it — each shard then owns an independent
-// epoch domain).
-var shardedBackends = []struct {
-	algo    string
-	recycle bool
-}{
-	{"ll-lazy", true},
-	{"sl-fraser-opt", true},
-	{"ht-clht-lb", false},
-}
-
-func shardedFactory(t *testing.T, algo string, recycle bool, shards int) settest.Factory {
-	return func() core.Set {
-		opts := []core.Option{core.Capacity(256), core.Shards(shards)}
-		if recycle {
-			opts = append(opts, core.RecycleNodes(true), core.RecycleThreshold(8))
-		}
-		s, err := core.New(algo, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-}
-
-// TestShardedConformance runs the full settest suite and the v2 extended
-// suite (Update atomicity, GetOrInsert insert-once, Range contracts,
-// fallback-vs-native parity — the native side routes to each shard's own
-// native operations, so parity holds per shard) over the sharded variants.
-// A sharded set is never natively ordered, so the suite runs with
-// ordered=false: Range must still satisfy its contract via the
-// snapshot-and-sort fallback.
-func TestShardedConformance(t *testing.T) {
-	for _, tc := range shardedBackends {
-		tc := tc
-		t.Run(tc.algo, func(t *testing.T) {
-			t.Parallel()
-			f := shardedFactory(t, tc.algo, tc.recycle, 4)
-			settest.Run(t, true, f)
-			settest.RunExtended(t, true, false, f)
-		})
-	}
-}
-
-// TestShardedSizeAndRouting pins the aggregation semantics: every inserted
-// key is found again through the router, Size sums the shards, and with a
-// few thousand keys the partition actually spreads (no shard is starved or
-// overloaded by the routing hash).
-func TestShardedSizeAndRouting(t *testing.T) {
-	s, err := core.New("ll-lazy", core.Capacity(64), core.Shards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := core.NumShards(s); got != 4 {
-		t.Fatalf("NumShards = %d, want 4", got)
-	}
-	const n = 4000
-	for k := core.Key(1); k <= n; k++ {
-		if !s.Insert(k, core.Value(k)*2) {
-			t.Fatalf("insert(%d) failed", k)
-		}
-	}
-	if got := s.Size(); got != n {
-		t.Fatalf("Size = %d, want %d", got, n)
-	}
-	for k := core.Key(1); k <= n; k++ {
-		if v, ok := s.Search(k); !ok || v != core.Value(k)*2 {
-			t.Fatalf("search(%d) = (%d,%v)", k, v, ok)
-		}
-	}
-	for k := core.Key(1); k <= n; k += 2 {
-		if _, ok := s.Remove(k); !ok {
-			t.Fatalf("remove(%d) failed", k)
-		}
-	}
-	if got := s.Size(); got != n/2 {
-		t.Fatalf("Size after removals = %d, want %d", got, n/2)
-	}
-}
-
-// TestShardedRecycleReuseBalance is the recycle churn test behind the
-// sharded facade: concurrent insert/search/remove cycles on every backend
-// that recycles, then the aggregated per-shard SSMEM counters must balance
-// (frees never exceed allocations, garbage never negative) and reuse must
-// actually have happened.
-func TestShardedRecycleReuseBalance(t *testing.T) {
-	for _, tc := range shardedBackends {
-		if !tc.recycle {
-			continue
-		}
-		tc := tc
-		t.Run(tc.algo, func(t *testing.T) {
-			s, err := core.New(tc.algo, core.Capacity(64), core.Shards(4),
-				core.RecycleNodes(true), core.RecycleThreshold(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			const workers, rounds, span = 4, 300, 32
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					base := core.Key(1 + w*span)
-					for r := 0; r < rounds; r++ {
-						for k := base; k < base+span; k++ {
-							s.Insert(k, core.Value(k))
-						}
-						for k := base; k < base+span; k++ {
-							s.Search(k)
-							s.Remove(k)
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			if got := s.Size(); got != 0 {
-				t.Fatalf("size after drain = %d, want 0", got)
-			}
-			st := s.(core.Recycler).RecycleStats()
-			if st.Allocs == 0 {
-				t.Fatalf("sharded recycling did no allocation accounting: %+v", st)
-			}
-			if st.Frees > st.Allocs {
-				t.Fatalf("more frees than allocations (double free): %+v", st)
-			}
-			if st.Reused == 0 && !raceEnabled {
-				t.Fatalf("no node reuse under churn: %+v", st)
-			}
-			if st.Garbage < 0 {
-				t.Fatalf("negative garbage (double hand-out): %+v", st)
-			}
-		})
-	}
-}
-
-// TestShardedMapFacade: the Sharded option through the typed Map facade —
-// updates stay exact under concurrency, ordered scans degrade to the
-// documented snapshot-and-sort fallback (never native), and the shard count
-// is visible.
-func TestShardedMapFacade(t *testing.T) {
-	m := MustNewMap[int64, string]("sl-fraser-opt", Capacity(128), Sharded(4))
-	if m.NativeOrder() {
-		t.Fatal("sharded map claims native ordering")
-	}
-	if got := m.NumShards(); got != 4 {
-		t.Fatalf("NumShards = %d, want 4", got)
-	}
-	for i := int64(-50); i <= 50; i++ {
-		m.Put(i, fmt.Sprintf("v%d", i))
-	}
-	if n := m.Len(); n != 101 {
-		t.Fatalf("Len = %d, want 101", n)
-	}
-	// Range must still be sorted and complete across the shard split.
-	var prev int64 = -100
-	n := m.Range(-50, 50, func(k int64, v string) bool {
-		if k <= prev {
-			t.Fatalf("Range not ascending: %d after %d", k, prev)
-		}
-		if v != fmt.Sprintf("v%d", k) {
-			t.Fatalf("Range value mismatch at %d: %q", k, v)
-		}
-		prev = k
-		return true
-	})
-	if n != 101 {
-		t.Fatalf("Range yielded %d, want 101", n)
-	}
-	if k, _, ok := m.Min(); !ok || k != -50 {
-		t.Fatalf("Min = (%d,%v), want -50", k, ok)
-	}
-	if k, _, ok := m.Max(); !ok || k != 50 {
-		t.Fatalf("Max = (%d,%v), want 50", k, ok)
-	}
-	// Concurrent counters through Update must stay exact shard by shard.
-	cm := MustNewMap[uint64, uint64]("ll-lazy", Capacity(64), Sharded(4))
-	const workers, rounds, keys = 8, 400, 16
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				k := uint64(i%keys + 1)
-				cm.Update(k, func(old uint64, _ bool) (uint64, bool) { return old + 1, true })
-			}
-		}(w)
-	}
-	wg.Wait()
-	var total uint64
-	for k := uint64(1); k <= keys; k++ {
-		v, _ := cm.Get(k)
-		total += v
-	}
-	if total != workers*rounds {
-		t.Fatalf("counter total = %d, want %d (lost updates across shards)", total, workers*rounds)
-	}
-}
-
 // TestShardedStringMapBasic covers the routing facade: per-key semantics
-// unchanged, Len/ForEach aggregation, shard accessors consistent between
-// the string and bytes paths, and the partition populated.
+// unchanged, Len/ForEach aggregation, RouteBytes naming the shard that
+// holds the key, and the partition populated.
 func TestShardedStringMapBasic(t *testing.T) {
 	for _, algo := range []string{"ht-clht-lb", "ll-lazy", "sl-fraser-opt"} {
 		t.Run(algo, func(t *testing.T) {
@@ -228,8 +22,12 @@ func TestShardedStringMapBasic(t *testing.T) {
 				if !m.Insert(k, i) {
 					t.Fatalf("Insert %s failed", k)
 				}
-				if m.ShardOf(k) != m.ShardOfBytes([]byte(k)) {
-					t.Fatalf("ShardOf(%s) disagrees between string and bytes", k)
+				sh, h := m.RouteBytes([]byte(k))
+				if v, ok := m.Shard(sh).Get(k); !ok || v != i {
+					t.Fatalf("RouteBytes(%s) names shard %d, which holds (%d,%v)", k, sh, v, ok)
+				}
+				if v, ok := m.GetBytesHashed(sh, h, []byte(k)); !ok || v != i {
+					t.Fatalf("GetBytesHashed(RouteBytes(%s)) = (%d,%v)", k, v, ok)
 				}
 			}
 			if got := m.Len(); got != n {
@@ -352,67 +150,6 @@ func TestShardedStringMapGetBytesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShardedStringMapGetBytesBatch: the shard-grouped batch read must
-// agree with per-key GetBytes for every key — hits and misses, duplicate
-// keys, every shard touched — and report results in request order.
-func TestShardedStringMapGetBytesBatch(t *testing.T) {
-	for _, algo := range []string{"ht-clht-lb", "ll-lazy", "sl-fraser-opt"} {
-		t.Run(algo, func(t *testing.T) {
-			m := MustNewShardedStringMap[int](algo, 8, Capacity(256))
-			for i := 0; i < 64; i += 2 { // evens present, odds missing
-				m.Put(fmt.Sprintf("key-%d", i), i)
-			}
-			keys := make([][]byte, 0, 40)
-			for i := 0; i < 39; i++ {
-				keys = append(keys, []byte(fmt.Sprintf("key-%d", i)))
-			}
-			keys = append(keys, []byte("key-0")) // duplicate
-			var out []BatchGet[int]
-			out = m.GetBytesBatch(keys, out)
-			if len(out) != len(keys) {
-				t.Fatalf("len(out) = %d, want %d", len(out), len(keys))
-			}
-			for i, k := range keys {
-				wantV, wantOK := m.GetBytes(k)
-				if out[i].OK != wantOK || out[i].Val != wantV {
-					t.Fatalf("out[%d] (%s) = (%d, %v), want (%d, %v)",
-						i, k, out[i].Val, out[i].OK, wantV, wantOK)
-				}
-			}
-			// Reuse: a second, smaller batch over the same slice.
-			out = m.GetBytesBatch(keys[:3], out)
-			if len(out) != 3 || !out[0].OK || out[1].OK || !out[2].OK {
-				t.Fatalf("reused batch wrong: %+v", out)
-			}
-		})
-	}
-}
-
-// TestShardedStringMapGetBytesBatchZeroAlloc: once the result slice has
-// grown, the shard-grouped batch read allocates nothing per call.
-func TestShardedStringMapGetBytesBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation gates are meaningless under race instrumentation")
-	}
-	m := MustNewShardedStringMap[uint64]("ht-clht-lb", 8, Capacity(256))
-	keys := make([][]byte, 16)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("bkey-%d", i))
-		m.UpdateBytes(keys[i], func(_ uint64, _ bool) (uint64, bool) { return uint64(i), true })
-	}
-	out := m.GetBytesBatch(keys, nil) // size the backing array
-	if avg := testing.AllocsPerRun(200, func() {
-		out = m.GetBytesBatch(keys, out)
-	}); avg != 0 {
-		t.Fatalf("GetBytesBatch allocates %.1f/op, want 0", avg)
-	}
-	for i := range keys {
-		if !out[i].OK || out[i].Val != uint64(i) {
-			t.Fatalf("out[%d] = %+v", i, out[i])
-		}
-	}
-}
-
 // TestShardedRecycleStatsAggregate: the facade-level RecycleStats must sum
 // shard domains (and stay zero without recycling).
 func TestShardedRecycleStatsAggregate(t *testing.T) {
@@ -431,15 +168,5 @@ func TestShardedRecycleStatsAggregate(t *testing.T) {
 	plain.Delete("a")
 	if st := plain.RecycleStats(); st.Allocs != 0 {
 		t.Fatalf("recycling off but stats nonzero: %+v", st)
-	}
-	// Map-level stats surface the same counters.
-	mm := MustNewMap[uint64, uint64]("ll-lazy", Capacity(64), Sharded(4),
-		RecycleNodes(true), RecycleThreshold(8))
-	for k := uint64(1); k <= 500; k++ {
-		mm.Put(k, k)
-		mm.Delete(k)
-	}
-	if st := mm.RecycleStats(); st.Allocs == 0 || st.Frees == 0 {
-		t.Fatalf("Map.RecycleStats flat after sharded churn: %+v", st)
 	}
 }

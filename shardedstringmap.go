@@ -2,6 +2,7 @@ package ascylib
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/core"
@@ -9,15 +10,14 @@ import (
 )
 
 // ShardedStringMap hash-partitions a string keyspace across S fully
-// independent StringMap instances — the sharding layer the server runs on.
-// Where Sharded(n) on Map/StringMap shards the backing structure under one
-// facade, ShardedStringMap shards the facade itself: every shard is a
-// complete StringMap with its own backing structure, its own value arena,
-// and (with RecycleNodes) its own SSMEM recycling domain, so shards share no
-// synchronization whatsoever. The point, per the paper's Figure 2 story:
-// hash tables scale because they are already sharded; this applies the same
-// decomposition one level up, so the list, skip-list, and BST families can
-// serve heavy multi-core traffic too.
+// independent StringMap instances — the sharding layer the server runs on,
+// and the library's one in-process router (S = 1 is the unsharded case).
+// Every shard is a complete StringMap with its own backing structure, its
+// own value arena, and (with RecycleNodes) its own SSMEM recycling domain,
+// so shards share no synchronization whatsoever. The point, per the paper's
+// Figure 2 story: hash tables scale because they are already sharded; this
+// applies the same decomposition one level up, so the list, skip-list, and
+// BST families can serve heavy multi-core traffic too.
 //
 // Routing scrambles the same FNV-1a hash StringMap keys the core with
 // through an xorshift-multiply finalizer and range-reduces its top bits
@@ -34,12 +34,12 @@ import (
 // order at the StringMap layer, and sharding does not change that.
 //
 // The ordered mode (NewOrderedShardedStringMap) changes both halves:
-// shards are OrderedStringMap-keyed (big-endian 8-byte prefix, sorted
-// chains), and routing range-reduces the raw prefix WITHOUT the finalizer
-// — multiply-shift over a monotone input splits the keyspace on prefix
-// boundaries, so shard i holds a contiguous key range and shard ranges
-// ascend with i. A scan walks the shards covering [lo, hi] in index order
-// and needs no cross-shard merge; per-key operations still route to
+// shards are keyed by the big-endian 8-byte prefix with sorted collision
+// chains (see prefixHash), and routing range-reduces the raw prefix WITHOUT
+// the finalizer — multiply-shift over a monotone input splits the keyspace
+// on prefix boundaries, so shard i holds a contiguous key range and shard
+// ranges ascend with i. A scan walks the shards covering [lo, hi] in index
+// order and needs no cross-shard merge; per-key operations still route to
 // exactly one shard.
 type ShardedStringMap[V any] struct {
 	shards []*StringMap[V]
@@ -49,19 +49,21 @@ type ShardedStringMap[V any] struct {
 	ordered bool
 }
 
+// MaxShards bounds the shard count of a ShardedStringMap: far above any
+// useful core count, low enough that a typo cannot allocate millions of
+// structures.
+const MaxShards = 1 << 10
+
 // NewShardedStringMap builds nshards independent StringMaps on the named
-// algorithm. nshards < 1 is treated as 1; counts above core.MaxShards are
-// rejected (same bound as the Sharded option — a typo must not allocate
-// millions of structures). opts apply to every shard, except that Capacity
-// is interpreted as a total and split evenly (floored at 1 bucket per
-// shard), and any Sharded option is overridden — the shards of a
-// ShardedStringMap are always flat single instances.
+// algorithm. nshards < 1 is treated as 1; counts above MaxShards are
+// rejected. opts apply to every shard, except that Capacity is interpreted
+// as a total and split evenly (floored at 1 bucket per shard).
 func NewShardedStringMap[V any](algo string, nshards int, opts ...Option) (*ShardedStringMap[V], error) {
 	if nshards < 1 {
 		nshards = 1
 	}
-	if nshards > core.MaxShards {
-		return nil, fmt.Errorf("ascylib: shard count %d exceeds the maximum of %d", nshards, core.MaxShards)
+	if nshards > MaxShards {
+		return nil, fmt.Errorf("ascylib: shard count %d exceeds the maximum of %d", nshards, MaxShards)
 	}
 	cfg := core.DefaultConfig()
 	for _, o := range opts {
@@ -71,9 +73,9 @@ func NewShardedStringMap[V any](algo string, nshards int, opts ...Option) (*Shar
 	if per < 1 {
 		per = 1
 	}
-	shardOpts := make([]Option, 0, len(opts)+2)
+	shardOpts := make([]Option, 0, len(opts)+1)
 	shardOpts = append(shardOpts, opts...)
-	shardOpts = append(shardOpts, Capacity(per), Sharded(1))
+	shardOpts = append(shardOpts, Capacity(per))
 	s := &ShardedStringMap[V]{shards: make([]*StringMap[V], nshards)}
 	for i := range s.shards {
 		m, err := NewStringMap[V](algo, shardOpts...)
@@ -90,12 +92,15 @@ func NewShardedStringMap[V any](algo string, nshards int, opts ...Option) (*Shar
 // chains) and routing splits the keyspace on prefix boundaries, so
 // cross-shard enumeration in shard-index order is global lexicographic
 // order. Everything else (capacity split, shard bounds, options) matches
-// NewShardedStringMap.
+// NewShardedStringMap; nshards = 1 is the unsharded ordered map.
 //
-// The trade mirrors OrderedStringMap's: real key distributions are not
-// uniform over their first 8 bytes, so range partitioning can load shards
-// unevenly where hash routing would not. That is the price of scans that
-// touch only the shards a range covers.
+// The trade: keys are placed by structure, not scattered by hash. Real key
+// distributions are not uniform over their first 8 bytes, so range
+// partitioning can load shards unevenly where hash routing would not, and
+// on a hash-table backend clustered prefixes cluster buckets. That is the
+// price of scans that touch only the shards a range covers and walk each
+// one in order; ordered structures (skip lists, BSTs, lists) serve those
+// walks natively, the hash tables through snapshot-and-sort.
 func NewOrderedShardedStringMap[V any](algo string, nshards int, opts ...Option) (*ShardedStringMap[V], error) {
 	s, err := NewShardedStringMap[V](algo, nshards, opts...)
 	if err != nil {
@@ -155,14 +160,6 @@ func shardKeyHash[K ~string | ~[]byte, V any](s *ShardedStringMap[V], k K) uint6
 // Ordered reports whether the map routes in range-partitioned ordered mode.
 func (s *ShardedStringMap[V]) Ordered() bool { return s.ordered }
 
-// ShardOf returns the shard index key k routes to.
-func (s *ShardedStringMap[V]) ShardOf(k string) int { return s.shardFromHash(shardKeyHash(s, k)) }
-
-// ShardOfBytes is ShardOf for a []byte key.
-func (s *ShardedStringMap[V]) ShardOfBytes(k []byte) int {
-	return s.shardFromHash(shardKeyHash(s, k))
-}
-
 // RouteBytes returns the shard index for k together with the key hash that
 // produced it, for callers that need the shard before the operation (the
 // server routes per-shard epoch pins this way) without paying a second hash
@@ -193,11 +190,18 @@ func (s *ShardedStringMap[V]) OrderedShardSpan(lo, hi []byte) (slo, shi int) {
 	return slo, shi
 }
 
-// ShardRangeBytes runs a bounded ordered scan over shard sh alone:
-// OrderedStringMap.RangeBytes semantics restricted to the keys that shard
-// holds. Callers (the server's store) bracket each shard's scan in that
-// shard's epoch and walk OrderedShardSpan's span in order. Panics in hash
-// mode — there is no order to scan.
+// ShardRangeBytes runs a bounded ordered scan over shard sh alone. It yields
+// the shard's entries with lo <= key <= hi in ascending lexicographic order,
+// stopping after limit entries (limit <= 0 means unbounded), and returns how
+// many were yielded. A nil hi means no upper bound; an empty or nil lo
+// starts from the smallest key; an inverted range yields nothing. Keys are
+// yielded as their stored strings, so the scan allocates nothing per entry.
+// Entries inserted or deleted concurrently may or may not be observed;
+// every yielded entry was present at some instant during the scan.
+//
+// Callers (the server's store) bracket each shard's scan in that shard's
+// epoch and walk OrderedShardSpan's span in order. Panics in hash mode —
+// there is no order to scan.
 func (s *ShardedStringMap[V]) ShardRangeBytes(sh int, lo, hi []byte, limit int, fn func(k string, v V) bool) int {
 	if !s.ordered {
 		panic("ascylib: ShardRangeBytes on a hash-routed ShardedStringMap")
@@ -205,20 +209,41 @@ func (s *ShardedStringMap[V]) ShardRangeBytes(sh int, lo, hi []byte, limit int, 
 	return rangeBytes(s.shards[sh], lo, hi, limit, fn)
 }
 
-// ShardMin returns shard sh's smallest entry (ordered mode only).
-func (s *ShardedStringMap[V]) ShardMin(sh int) (string, V, bool) {
-	if !s.ordered {
-		panic("ascylib: ShardMin on a hash-routed ShardedStringMap")
+// rangeBytes is ShardRangeBytes' body over one ordered StringMap. It walks
+// the core's bucket range [prefixHash(lo), prefixHash(hi)] in order and
+// filters each sorted chain by the full string bounds: only the two
+// boundary buckets can contain out-of-range keys, so the filter is almost
+// always a no-op, and the first key past hi ends the scan globally
+// (enumeration is sorted).
+func rangeBytes[V any](m *StringMap[V], lo, hi []byte, limit int, fn func(k string, v V) bool) int {
+	var plo uint64
+	if len(lo) > 0 {
+		plo = prefixHash(lo)
 	}
-	return minEntry(s.shards[sh])
-}
-
-// ShardMax returns shard sh's largest entry (ordered mode only).
-func (s *ShardedStringMap[V]) ShardMax(sh int) (string, V, bool) {
-	if !s.ordered {
-		panic("ascylib: ShardMax on a hash-routed ShardedStringMap")
+	phi := uint64(math.MaxUint64 - 2)
+	if hi != nil {
+		phi = prefixHash(hi)
 	}
-	return maxEntry(s.shards[sh])
+	n := 0
+	m.m.Range(plo, phi, func(_ uint64, chain []strEntry[V]) bool {
+		for i := range chain {
+			if len(lo) > 0 && cmpKey(chain[i].key, lo) < 0 {
+				continue
+			}
+			if hi != nil && cmpKey(chain[i].key, hi) > 0 {
+				return false
+			}
+			if limit > 0 && n >= limit {
+				return false
+			}
+			n++
+			if !fn(chain[i].key, chain[i].val) {
+				return false
+			}
+		}
+		return true
+	})
+	return n
 }
 
 // GetBytesHashed is GetBytes with the route precomputed by RouteBytes; both
@@ -232,51 +257,6 @@ func (s *ShardedStringMap[V]) GetBytesHashed(shard int, hash uint64, k []byte) (
 // same key.
 func (s *ShardedStringMap[V]) UpdateBytesHashed(shard int, hash uint64, k []byte, f func(old V, present bool) (V, bool)) (V, bool) {
 	return updateChain(s.shards[shard], hash, k, f)
-}
-
-// BatchGet is one result slot of GetBytesBatch: the value found for the
-// corresponding key (OK false on a miss).
-type BatchGet[V any] struct {
-	Val V
-	OK  bool
-
-	shard int32
-	done  bool
-	hash  uint64
-}
-
-// GetBytesBatch looks up every keys[i] with one hash computation per key and
-// the lookups grouped by shard, so each shard's buckets are walked
-// consecutively instead of ping-ponging between shards — the batched analog
-// of GetBytes, built on the same StringMap.GetBytesHashed single-hash path.
-// Results land in request order: out (reused across calls; pass the previous
-// return value) is resized to len(keys) and out[i] reports key i, whatever
-// shard it routed to. Like GetBytes, the steady state allocates nothing once
-// out's backing array has grown to the caller's batch size.
-func (s *ShardedStringMap[V]) GetBytesBatch(keys [][]byte, out []BatchGet[V]) []BatchGet[V] {
-	out = out[:0]
-	for _, k := range keys {
-		h := shardKeyHash(s, k)
-		out = append(out, BatchGet[V]{shard: int32(s.shardFromHash(h)), hash: h})
-	}
-	// Shard-grouped walk without a side table: each outer pass takes the
-	// first unresolved key's shard and resolves every key routed to it, so
-	// the number of passes is the number of distinct shards touched.
-	for i := range out {
-		if out[i].done {
-			continue
-		}
-		sh := out[i].shard
-		m := s.shards[sh]
-		for j := i; j < len(out); j++ {
-			if out[j].shard != sh {
-				continue
-			}
-			out[j].Val, out[j].OK = m.GetBytesHashed(out[j].hash, keys[j])
-			out[j].done = true
-		}
-	}
-	return out
 }
 
 // Get returns the value stored under k.

@@ -23,16 +23,17 @@ import (
 //
 // Because hashing destroys order, StringMap has no Range/Min/Max; ForEach
 // enumerates in no particular order. Use Map for ordered typed keys — or
-// OrderedStringMap, which swaps the hash for an order-preserving 8-byte
-// prefix encoding so string order survives the trip through the core.
+// NewOrderedShardedStringMap, whose shards swap the hash for an
+// order-preserving 8-byte prefix encoding so string order survives the trip
+// through the core.
 type StringMap[V any] struct {
 	m *Map[uint64, []strEntry[V]]
 
 	// ordered selects the order-preserving keying mode (see
-	// OrderedStringMap): keys are carried onto the core by their big-endian
-	// 8-byte prefix instead of FNV-1a, and collision chains (keys sharing a
-	// prefix) are kept lexicographically sorted, so the core's Range/Min/Max
-	// enumerate true string order.
+	// NewOrderedShardedStringMap): keys are carried onto the core by their
+	// big-endian 8-byte prefix instead of FNV-1a, and collision chains (keys
+	// sharing a prefix) are kept lexicographically sorted, so the core's
+	// Range enumerates true string order.
 	ordered bool
 }
 
@@ -423,8 +424,3 @@ func (m *StringMap[V]) Snapshot(yield func(k string, v V) bool) bool {
 // RecycleStats returns the backing structure's SSMEM allocator counters
 // (zero without recycling); see Map.RecycleStats.
 func (m *StringMap[V]) RecycleStats() ssmem.Stats { return m.m.RecycleStats() }
-
-// NumShards reports how many structure instances back the map: n when built
-// with Sharded(n > 1), otherwise 1. (A ShardedStringMap shards the facade
-// itself instead; its shards each report 1 here.)
-func (m *StringMap[V]) NumShards() int { return m.m.NumShards() }
