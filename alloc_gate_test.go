@@ -138,17 +138,16 @@ func TestSearchZeroAllocStripedPools(t *testing.T) {
 }
 
 // TestRemoveInsertSteadyStateRecycling: with SSMEM recycling on, a steady
-// remove/insert churn of one key must stop allocating nodes once the
-// allocator's free list warms up — the structural point of the PR. The
-// bound is loose (a few allocs per op are epoch bookkeeping: batch stamping
-// every threshold frees, snapshot slices), but without recycling this churn
-// costs a node plus record allocations on every single cycle, so the gate
-// distinguishes the regimes cleanly.
+// remove/insert churn of one key must stop allocating once the allocator's
+// free list warms up — the structural point of recycling. The lists' links
+// are tagged words, so a cycle allocates nothing but the node, and the node
+// comes back from the free list; the epoch bookkeeping (batch stamping every
+// threshold frees, snapshot slices) amortizes below one allocation a cycle.
 func TestRemoveInsertSteadyStateRecycling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are meaningless under race instrumentation")
 	}
-	for _, algo := range []string{"ll-lazy", "ll-michael"} {
+	for _, algo := range []string{"ll-lazy", "ll-michael", "ll-harris", "ll-harris-opt"} {
 		t.Run(algo, func(t *testing.T) {
 			s := core.MustNew(algo, core.RecycleNodes(true), core.RecycleThreshold(16))
 			for k := core.Key(1); k <= 64; k++ {
@@ -159,16 +158,49 @@ func TestRemoveInsertSteadyStateRecycling(t *testing.T) {
 				s.Remove(32)
 				s.Insert(32, 32)
 			}
-			avg := testing.AllocsPerRun(400, func() {
-				s.Remove(32)
-				s.Insert(32, 32)
-			})
-			// lazy recycles the node itself; the lock-free lists still
-			// allocate fresh (ABA-proof) next-records per CAS. Either
-			// way the per-cycle cost must stay a small constant.
-			if avg > 4 {
-				t.Fatalf("%s: remove+insert cycle allocates %.2f, want <= 4", algo, avg)
+			if avg := removeInsertAllocs(s, 32); avg != 0 {
+				t.Fatalf("%s: remove+insert cycle allocates %.2f, want 0", algo, avg)
 			}
 		})
 	}
+}
+
+// TestRemoveInsertAllocs: without recycling a remove+insert cycle pays for
+// the new node and nothing else — a CAS swaps a tagged word and allocates
+// nothing. A Fraser node is two allocations (node and tower), a list node
+// one, and ht-harris inherits its buckets' cost.
+func TestRemoveInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are meaningless under race instrumentation")
+	}
+	for _, tc := range []struct {
+		algo string
+		want float64
+	}{
+		{"ll-harris", 1},
+		{"ll-harris-opt", 1},
+		{"ll-michael", 1},
+		{"ht-harris", 1},
+		{"sl-fraser", 2},
+		{"sl-fraser-opt", 2},
+	} {
+		t.Run(tc.algo, func(t *testing.T) {
+			s := core.MustNew(tc.algo, core.Capacity(64))
+			for k := core.Key(1); k <= 64; k++ {
+				s.Insert(k, core.Value(k))
+			}
+			if avg := removeInsertAllocs(s, 32); avg != tc.want {
+				t.Fatalf("%s: remove+insert cycle allocates %.2f, want %v", tc.algo, avg, tc.want)
+			}
+		})
+	}
+}
+
+// removeInsertAllocs is the average allocation count of one Remove(k) +
+// Insert(k) cycle on s.
+func removeInsertAllocs(s core.Set, k core.Key) float64 {
+	return testing.AllocsPerRun(400, func() {
+		s.Remove(k)
+		s.Insert(k, core.Value(k))
+	})
 }

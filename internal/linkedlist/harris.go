@@ -1,32 +1,24 @@
 package linkedlist
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
+	"repro/internal/mark"
 	"repro/internal/perf"
 	"repro/internal/ssmem"
 )
 
-// lfRef is an immutable (successor, marked) record. A node's next field
-// holds a *lfRef; CASing the field therefore validates successor and mark
-// together, which is the Go/GC-safe rendering of Harris's tagged pointer.
-// marked set on a node's own next record means the node is logically
-// deleted.
-type lfRef struct {
-	n      *lfNode
-	marked bool
-}
-
+// lfNode is the Harris/Michael node. next holds (successor, marked) as one
+// tagged word, Harris's marked pointer: a CAS on it validates successor and
+// mark together, and a marked next means the node is logically deleted.
 type lfNode struct {
 	key  core.Key
 	val  core.Value
-	next atomic.Pointer[lfRef]
+	next mark.Link[lfNode]
 }
 
 func newLFNode(k core.Key, v core.Value, succ *lfNode) *lfNode {
 	n := &lfNode{key: k, val: v}
-	n.next.Store(&lfRef{n: succ})
+	n.next.Store(mark.Ref[lfNode]{N: succ})
 	return n
 }
 
@@ -63,9 +55,9 @@ func (l *Harris) RecycleStats() ssmem.Stats { return ssmem.PoolStats(l.rec) }
 
 // search is Harris's search: it returns adjacent (left, right) with
 // left.key < k <= right.key and right unmarked, unlinking any marked span in
-// between. leftRef is the record in left.next that points at right, needed
+// between. leftRef is the value of left.next that points at right, needed
 // by the callers' CASes.
-func (l *Harris) search(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (left *lfNode, leftRef *lfRef, right *lfNode) {
+func (l *Harris) search(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (left *lfNode, leftRef mark.Ref[lfNode], right *lfNode) {
 searchAgain:
 	for {
 		t := l.head
@@ -73,36 +65,36 @@ searchAgain:
 		// Phase 1: find left and right, remembering the last unmarked
 		// node before the candidate.
 		for {
-			if !tRef.marked {
+			if !tRef.Marked {
 				left = t
 				leftRef = tRef
 			}
-			t = tRef.n
+			t = tRef.N
 			if t == l.tail {
 				break
 			}
 			c.Inc(perf.EvTraverse)
 			tRef = t.next.Load()
-			if !tRef.marked && t.key >= k {
+			if !tRef.Marked && t.key >= k {
 				break
 			}
 		}
 		right = t
 		// Phase 2: already adjacent?
-		if leftRef.n == right {
-			if right != l.tail && right.next.Load().marked {
+		if leftRef.N == right {
+			if right != l.tail && right.next.Load().Marked {
 				c.Inc(perf.EvRestart)
 				continue searchAgain // right got deleted underneath us
 			}
 			return left, leftRef, right
 		}
-		// Phase 3: unlink the marked span [leftRef.n .. right).
-		newRef := &lfRef{n: right}
+		// Phase 3: unlink the marked span [leftRef.N .. right).
+		newRef := mark.Ref[lfNode]{N: right}
 		if left.next.CompareAndSwap(leftRef, newRef) {
 			c.Inc(perf.EvCAS)
 			c.Inc(perf.EvCleanup)
-			freeLFSpan(a, leftRef.n, right)
-			if right != l.tail && right.next.Load().marked {
+			freeLFSpan(a, leftRef.N, right)
+			if right != l.tail && right.next.Load().Marked {
 				c.Inc(perf.EvRestart)
 				continue searchAgain
 			}
@@ -115,13 +107,13 @@ searchAgain:
 
 // parseOpt is the ASCY2 parse: walk once, keeping the last unmarked node as
 // left; never help, never restart. Callers' CASes provide the validation.
-func (l *Harris) parseOpt(c *perf.Ctx, k core.Key) (left *lfNode, leftRef *lfRef, right *lfNode) {
+func (l *Harris) parseOpt(c *perf.Ctx, k core.Key) (left *lfNode, leftRef mark.Ref[lfNode], right *lfNode) {
 	left = l.head
 	leftRef = left.next.Load()
-	t := leftRef.n
+	t := leftRef.N
 	for t != l.tail {
 		tRef := t.next.Load()
-		if !tRef.marked {
+		if !tRef.Marked {
 			if t.key >= k {
 				break
 			}
@@ -129,7 +121,7 @@ func (l *Harris) parseOpt(c *perf.Ctx, k core.Key) (left *lfNode, leftRef *lfRef
 			leftRef = tRef
 		}
 		c.Inc(perf.EvTraverse)
-		t = tRef.n
+		t = tRef.N
 	}
 	return left, leftRef, t
 }
@@ -140,12 +132,12 @@ func (l *Harris) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	defer ssmem.Unpin(l.rec, a)
 	if l.optimized {
 		// ASCY1: traverse ignoring marks; no stores, no retries.
-		curr := l.head.next.Load().n
+		curr := l.head.next.Load().N
 		for curr != l.tail && curr.key < k {
 			c.Inc(perf.EvTraverse)
-			curr = curr.next.Load().n
+			curr = curr.next.Load().N
 		}
-		if curr != l.tail && curr.key == k && !curr.next.Load().marked {
+		if curr != l.tail && curr.key == k && !curr.next.Load().Marked {
 			return curr.val, true
 		}
 		return 0, false
@@ -157,7 +149,7 @@ func (l *Harris) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	return 0, false
 }
 
-func (l *Harris) parse(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (left *lfNode, leftRef *lfRef, right *lfNode) {
+func (l *Harris) parse(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (left *lfNode, leftRef mark.Ref[lfNode], right *lfNode) {
 	if l.optimized {
 		return l.parseOpt(c, k)
 	}
@@ -182,12 +174,12 @@ func (l *Harris) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 		if n == nil {
 			n = allocLF(a, k, v)
 		}
-		n.next.Store(&lfRef{n: right})
-		if left.next.CompareAndSwap(leftRef, &lfRef{n: n}) {
+		n.next.Store(mark.Ref[lfNode]{N: right})
+		if left.next.CompareAndSwap(leftRef, mark.Ref[lfNode]{N: n}) {
 			c.Inc(perf.EvCAS)
 			// The CAS also swallowed any marked span the optimized
 			// parse stepped over.
-			freeLFSpan(a, leftRef.n, right)
+			freeLFSpan(a, leftRef.N, right)
 			return true
 		}
 		c.Inc(perf.EvCASFail)
@@ -207,15 +199,15 @@ func (l *Harris) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 			return 0, false
 		}
 		rRef := right.next.Load()
-		if rRef.marked {
+		if rRef.Marked {
 			if l.optimized {
 				return 0, false // already logically deleted
 			}
 			c.Inc(perf.EvRestart)
 			continue
 		}
-		// Step 1: logical deletion — mark right's next record.
-		if !right.next.CompareAndSwap(rRef, &lfRef{n: rRef.n, marked: true}) {
+		// Step 1: logical deletion — mark right's next link.
+		if !right.next.CompareAndSwap(rRef, mark.Ref[lfNode]{N: rRef.N, Marked: true}) {
 			c.Inc(perf.EvCASFail)
 			c.Inc(perf.EvRestart)
 			continue
@@ -224,11 +216,11 @@ func (l *Harris) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		val := right.val // we own the logical delete; read before any free
 		// Step 2: physical deletion — best effort; on failure the next
 		// search (or update parse) cleans up.
-		if left.next.CompareAndSwap(leftRef, &lfRef{n: rRef.n}) {
+		if left.next.CompareAndSwap(leftRef, mark.Ref[lfNode]{N: rRef.N}) {
 			c.Inc(perf.EvCAS)
-			// Detached [leftRef.n .. rRef.n): right plus any marked
+			// Detached [leftRef.N .. rRef.N): right plus any marked
 			// span the parse stepped over.
-			freeLFSpan(a, leftRef.n, rRef.n)
+			freeLFSpan(a, leftRef.N, rRef.N)
 		} else {
 			c.Inc(perf.EvCASFail)
 			if !l.optimized {
@@ -253,12 +245,12 @@ func (l *Harris) Size() int {
 	a := ssmem.Pin(l.rec)
 	defer ssmem.Unpin(l.rec, a)
 	n := 0
-	for curr := l.head.next.Load().n; curr != l.tail; {
+	for curr := l.head.next.Load().N; curr != l.tail; {
 		ref := curr.next.Load()
-		if !ref.marked {
+		if !ref.Marked {
 			n++
 		}
-		curr = ref.n
+		curr = ref.N
 	}
 	return n
 }

@@ -103,15 +103,15 @@ func (l *Copy) Max() (core.Key, core.Value, bool) {
 	return s.keys[len(s.keys)-1], s.vals[len(s.keys)-1], true
 }
 
-// lfAscend is the shared Harris/Michael traversal over the lfNode/lfRef
-// encoding, skipping marked nodes.
+// lfAscend is the shared Harris/Michael traversal over lfNode's tagged
+// links, skipping marked nodes.
 func lfAscend(head, tail *lfNode, lo core.Key, yield func(core.Key, core.Value) bool) {
-	for curr := head.next.Load().n; curr != tail; {
+	for curr := head.next.Load().N; curr != tail; {
 		ref := curr.next.Load()
-		if curr.key >= lo && !ref.marked && !yield(curr.key, curr.val) {
+		if curr.key >= lo && !ref.Marked && !yield(curr.key, curr.val) {
 			return
 		}
-		curr = ref.n
+		curr = ref.N
 	}
 }
 

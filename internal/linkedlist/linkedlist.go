@@ -3,11 +3,9 @@
 //
 // All lists are sorted sets over 64-bit keys with head/tail sentinels
 // (key 0 and key MaxUint64 respectively; workload keys live strictly
-// between). The lock-free lists encode Harris's marked pointer as an
-// immutable (successor, marked) record swapped by CAS — the GC-safe Go
-// equivalent of stealing a pointer tag bit in C: a CAS on the record pointer
-// atomically validates both the successor and the mark, exactly like a CAS
-// on a tagged word.
+// between). The lock-free lists keep Harris's marked pointer as in C: a
+// node's next is one word with the deletion mark in its low bit
+// (internal/mark), so a CAS validates successor and mark together.
 package linkedlist
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mark"
 	"repro/internal/perf"
 	"repro/internal/settest"
 )
@@ -42,12 +43,12 @@ func TestHarrisNoMarkedReachableAtQuiescence(t *testing.T) {
 	for k := core.Key(1); k <= 64; k++ {
 		l.Search(k)
 	}
-	for n := l.head.next.Load().n; n != l.tail; {
+	for n := l.head.next.Load().N; n != l.tail; {
 		ref := n.next.Load()
-		if ref.marked {
+		if ref.Marked {
 			t.Fatalf("marked node with key %d still reachable after cleanup scans", n.key)
 		}
-		n = ref.n
+		n = ref.N
 	}
 }
 
@@ -238,10 +239,10 @@ func TestHarrisSearchHelpsCleanup(t *testing.T) {
 		}
 		// Mark node 5 logically deleted without unlinking it —
 		// exactly a remover paused between CAS 1 and CAS 2.
-		for n := l.head.next.Load().n; n != l.tail; n = n.next.Load().n {
+		for n := l.head.next.Load().N; n != l.tail; n = n.next.Load().N {
 			if n.key == 5 {
 				ref := n.next.Load()
-				n.next.Store(&lfRef{n: ref.n, marked: true})
+				n.next.Store(mark.Ref[lfNode]{N: ref.N, Marked: true})
 				return
 			}
 		}
@@ -257,7 +258,7 @@ func TestHarrisSearchHelpsCleanup(t *testing.T) {
 	if ctx.Count(perf.EvCleanup) == 0 {
 		t.Fatal("harris search did not clean up the marked node (ASCY1 violation not exercised)")
 	}
-	for n := orig.head.next.Load().n; n != orig.tail; n = n.next.Load().n {
+	for n := orig.head.next.Load().N; n != orig.tail; n = n.next.Load().N {
 		if n.key == 5 {
 			t.Fatal("marked node still reachable after harris search")
 		}
@@ -285,10 +286,10 @@ func TestMichaelSearchUnlinksMarked(t *testing.T) {
 	for k := core.Key(1); k <= 10; k++ {
 		l.Insert(k, core.Value(k))
 	}
-	for n := l.head.next.Load().n; n != l.tail; n = n.next.Load().n {
+	for n := l.head.next.Load().N; n != l.tail; n = n.next.Load().N {
 		if n.key == 5 {
 			ref := n.next.Load()
-			n.next.Store(&lfRef{n: ref.n, marked: true})
+			n.next.Store(mark.Ref[lfNode]{N: ref.N, Marked: true})
 		}
 	}
 	ctx := &perf.Ctx{}
@@ -298,9 +299,45 @@ func TestMichaelSearchUnlinksMarked(t *testing.T) {
 	if ctx.Count(perf.EvCleanup) == 0 {
 		t.Fatal("michael search did not unlink the marked node")
 	}
-	for n := l.head.next.Load().n; n != l.tail; n = n.next.Load().n {
+	for n := l.head.next.Load().N; n != l.tail; n = n.next.Load().N {
 		if n.key == 5 {
 			t.Fatal("marked node still linked after michael search")
 		}
+	}
+}
+
+// TestRecycleChurnRegression: the lock-free lists CAS tagged words by value,
+// which is ABA-safe only because no operation holds a node address outside
+// its epoch bracket. With RecycleThreshold(1) a freed node is handed out
+// again almost at once, so a CAS outside a bracket would soon hit a reused
+// node. Churn a tiny key range hard, then audit presence against Search and
+// the list order.
+func TestRecycleChurnRegression(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Recycle, cfg.RecycleThreshold = true, 1
+	for _, tc := range []struct {
+		name string
+		mk   func() (s core.Set, head, tail *lfNode)
+	}{
+		{"harris", func() (core.Set, *lfNode, *lfNode) { l := NewHarris(cfg, false); return l, l.head, l.tail }},
+		{"harris-opt", func() (core.Set, *lfNode, *lfNode) { l := NewHarris(cfg, true); return l, l.head, l.tail }},
+		{"michael", func() (core.Set, *lfNode, *lfNode) { l := NewMichael(cfg); return l, l.head, l.tail }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 4; round++ {
+				s, head, tail := tc.mk()
+				present := settest.Churn(t, s, 8, 6, 3000, int64(round*100))
+				settest.AuditOrder(t, present, func(visit func(core.Key, bool)) {
+					for n := head.next.Load().N; n != tail; {
+						r := n.next.Load()
+						visit(n.key, !r.Marked)
+						n = r.N
+					}
+				})
+				if st := s.(core.Recycler).RecycleStats(); st.Frees > st.Allocs {
+					t.Fatalf("more frees than allocations (double free): %+v", st)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package linkedlist
 
 import (
 	"repro/internal/core"
+	"repro/internal/mark"
 	"repro/internal/perf"
 	"repro/internal/ssmem"
 )
@@ -10,7 +11,7 @@ import (
 // designed for easier memory management: instead of unlinking whole marked
 // spans, the traversal unlinks logically deleted nodes one at a time, and
 // restarts from the head whenever a CAS fails or an inconsistency is
-// observed. It shares the lfNode/lfRef encoding with Harris.
+// observed. It shares lfNode and its tagged next link with Harris.
 //
 // The one-node-at-a-time unlink is exactly what makes Michael's list the
 // natural fit for SSMEM recycling (its original purpose): with cfg.Recycle,
@@ -37,18 +38,18 @@ func (l *Michael) RecycleStats() ssmem.Stats { return ssmem.PoolStats(l.rec) }
 // find positions (prev, prevRef, curr) with prev.key < k <= curr.key, curr
 // unmarked, unlinking each marked node it encounters. Restarts from the head
 // when an unlink CAS fails.
-func (l *Michael) find(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (prev *lfNode, prevRef *lfRef, curr *lfNode) {
+func (l *Michael) find(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (prev *lfNode, prevRef mark.Ref[lfNode], curr *lfNode) {
 tryAgain:
 	for {
 		prev = l.head
 		prevRef = prev.next.Load()
-		curr = prevRef.n
+		curr = prevRef.N
 		for curr != l.tail {
 			currRef := curr.next.Load()
-			if currRef.marked {
+			if currRef.Marked {
 				// Unlink the single deleted node before stepping
 				// over it; on conflict, restart from the head.
-				newRef := &lfRef{n: currRef.n}
+				newRef := mark.Ref[lfNode]{N: currRef.N}
 				if !prev.next.CompareAndSwap(prevRef, newRef) {
 					c.Inc(perf.EvCASFail)
 					c.Inc(perf.EvRestart)
@@ -58,7 +59,7 @@ tryAgain:
 				c.Inc(perf.EvCleanup)
 				ssmem.FreeTo(a, curr) // our CAS detached it
 				prevRef = newRef
-				curr = currRef.n
+				curr = currRef.N
 				continue
 			}
 			if curr.key >= k {
@@ -67,7 +68,7 @@ tryAgain:
 			c.Inc(perf.EvTraverse)
 			prev = curr
 			prevRef = currRef
-			curr = currRef.n
+			curr = currRef.N
 		}
 		return prev, prevRef, l.tail
 	}
@@ -102,8 +103,8 @@ func (l *Michael) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 		if n == nil {
 			n = allocLF(a, k, v)
 		}
-		n.next.Store(&lfRef{n: curr})
-		if prev.next.CompareAndSwap(prevRef, &lfRef{n: n}) {
+		n.next.Store(mark.Ref[lfNode]{N: curr})
+		if prev.next.CompareAndSwap(prevRef, mark.Ref[lfNode]{N: n}) {
 			c.Inc(perf.EvCAS)
 			return true
 		}
@@ -124,18 +125,18 @@ func (l *Michael) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 			return 0, false
 		}
 		currRef := curr.next.Load()
-		if currRef.marked {
+		if currRef.Marked {
 			c.Inc(perf.EvRestart)
 			continue
 		}
-		if !curr.next.CompareAndSwap(currRef, &lfRef{n: currRef.n, marked: true}) {
+		if !curr.next.CompareAndSwap(currRef, mark.Ref[lfNode]{N: currRef.N, Marked: true}) {
 			c.Inc(perf.EvCASFail)
 			c.Inc(perf.EvRestart)
 			continue
 		}
 		c.Inc(perf.EvCAS)
 		val := curr.val // we own the logical delete; read before any free
-		if prev.next.CompareAndSwap(prevRef, &lfRef{n: currRef.n}) {
+		if prev.next.CompareAndSwap(prevRef, mark.Ref[lfNode]{N: currRef.N}) {
 			c.Inc(perf.EvCAS)
 			ssmem.FreeTo(a, curr) // our CAS detached it
 		} else {
@@ -160,12 +161,12 @@ func (l *Michael) Size() int {
 	a := ssmem.Pin(l.rec)
 	defer ssmem.Unpin(l.rec, a)
 	n := 0
-	for curr := l.head.next.Load().n; curr != l.tail; {
+	for curr := l.head.next.Load().N; curr != l.tail; {
 		ref := curr.next.Load()
-		if !ref.marked {
+		if !ref.Marked {
 			n++
 		}
-		curr = ref.n
+		curr = ref.N
 	}
 	return n
 }

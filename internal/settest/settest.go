@@ -530,28 +530,32 @@ func testOwnerRemove(t *testing.T, f Factory) {
 
 // testChurn runs a mixed workload over a small hot range and checks the
 // per-key net-presence invariant at quiescence.
-func testChurn(t *testing.T, f Factory) {
-	s := f()
-	const workers = 8
-	const keyRange = 64
-	const opsPerWorker = 5000
-	var present [keyRange + 1]atomic.Int64
+func testChurn(t *testing.T, f Factory) { Churn(t, f(), 8, 64, 5000, 1) }
+
+// Churn runs workers goroutines of ops random Insert/Remove/Search calls
+// each over keys [1, keys], worker w seeded with seed+w. At quiescence it
+// checks that every key's net successful inserts minus removes is 0 or 1
+// and agrees with Search, and that the present keys add up to Size. It
+// returns present, indexed by key.
+func Churn(t *testing.T, s core.Set, workers, keys, ops int, seed int64) (present []bool) {
+	t.Helper()
+	net := make([]atomic.Int64, keys+1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(int64(w + 1)))
-			for i := 0; i < opsPerWorker; i++ {
-				k := core.Key(r.Intn(keyRange) + 1)
+			r := rand.New(rand.NewSource(seed + int64(w)))
+			for i := 0; i < ops; i++ {
+				k := core.Key(r.Intn(keys) + 1)
 				switch r.Intn(3) {
 				case 0:
 					if s.Insert(k, core.Value(k)) {
-						present[k].Add(1)
+						net[k].Add(1)
 					}
 				case 1:
 					if _, ok := s.Remove(k); ok {
-						present[k].Add(-1)
+						net[k].Add(-1)
 					}
 				default:
 					s.Search(k)
@@ -560,9 +564,10 @@ func testChurn(t *testing.T, f Factory) {
 		}(w)
 	}
 	wg.Wait()
+	present = make([]bool, keys+1)
 	total := 0
-	for k := core.Key(1); k <= keyRange; k++ {
-		n := present[k].Load()
+	for k := core.Key(1); k <= core.Key(keys); k++ {
+		n := net[k].Load()
 		if n != 0 && n != 1 {
 			t.Fatalf("key %d: net presence %d, want 0 or 1", k, n)
 		}
@@ -570,12 +575,44 @@ func testChurn(t *testing.T, f Factory) {
 		if ok != (n == 1) {
 			t.Fatalf("key %d: search=%v but net presence=%d", k, ok, n)
 		}
-		if n == 1 {
+		if present[k] = n == 1; present[k] {
 			total++
 		}
 	}
 	if got := s.Size(); got != total {
 		t.Fatalf("size = %d, want %d", got, total)
+	}
+	return present
+}
+
+// AuditOrder checks a quiescent walk of a list's bottom level against the
+// keys Churn reports present: keys never decrease along the walk, the live
+// (unmarked) ones strictly increase, and exactly the present keys are live.
+// walk calls visit once per reachable node, head to tail.
+func AuditOrder(t *testing.T, present []bool, walk func(visit func(k core.Key, live bool))) {
+	t.Helper()
+	var prev, prevLive core.Key
+	seen := make([]bool, len(present))
+	walk(func(k core.Key, live bool) {
+		if k < prev {
+			t.Fatalf("order violated: key %d after %d", k, prev)
+		}
+		prev = k
+		if !live {
+			return
+		}
+		if k <= prevLive {
+			t.Fatalf("live key %d after live key %d", k, prevLive)
+		}
+		if int(k) >= len(present) || !present[k] {
+			t.Fatalf("key %d is live but not present", k)
+		}
+		prevLive, seen[k] = k, true
+	})
+	for k, p := range present {
+		if p && !seen[k] {
+			t.Fatalf("key %d is present but not live on the bottom level", k)
+		}
 	}
 }
 

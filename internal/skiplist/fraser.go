@@ -1,28 +1,23 @@
 package skiplist
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
+	"repro/internal/mark"
 	"repro/internal/perf"
 	"repro/internal/ssmem"
 )
 
-// fRef is an immutable (successor, marked) record for one level of a tower;
-// marked on node.next[lvl] means the node is logically deleted at lvl.
-type fRef struct {
-	n      *fNode
-	marked bool
-}
-
+// fNode is a Fraser tower. next[lvl] holds (successor, marked) for one level
+// as a single tagged word; a marked next[lvl] means the node is logically
+// deleted at lvl.
 type fNode struct {
 	key  core.Key
 	val  core.Value
-	next []atomic.Pointer[fRef]
+	next []mark.Link[fNode]
 }
 
 func newFNode(k core.Key, v core.Value, h int) *fNode {
-	return &fNode{key: k, val: v, next: make([]atomic.Pointer[fRef], h)}
+	return &fNode{key: k, val: v, next: make([]mark.Link[fNode], h)}
 }
 
 // Fraser is Fraser's lock-free skip list (Table 1): updates CAS one level at
@@ -52,8 +47,7 @@ func NewFraser(cfg core.Config, optimized bool) *Fraser {
 	tail := newFNode(tailKey, 0, ml)
 	head := newFNode(headKey, 0, ml)
 	for i := 0; i < ml; i++ {
-		tail.next[i].Store(&fRef{})
-		head.next[i].Store(&fRef{n: tail})
+		head.next[i].Store(mark.Ref[fNode]{N: tail})
 	}
 	s := &Fraser{head: head, tail: tail, maxLevel: ml, optimized: optimized, rec: newNodePool[fNode](cfg)}
 	s.OrderedVia = core.OrderedVia{Ascend: s.ascend}
@@ -65,27 +59,27 @@ func (l *Fraser) RecycleStats() ssmem.Stats { return ssmem.PoolStats(l.rec) }
 
 // search is Fraser's original search: positions preds/succs at every level,
 // unlinking marked nodes on the way; restarts from the top on any conflict.
-// refs[lvl] receives the exact record in preds[lvl].next[lvl] that points at
+// refs[lvl] receives the value of preds[lvl].next[lvl] that points at
 // succs[lvl], as needed by the callers' CASes.
-func (l *Fraser) search(a *ssmem.Allocator[fNode], c *perf.Ctx, k core.Key, preds, succs []*fNode, refs []*fRef) {
+func (l *Fraser) search(a *ssmem.Allocator[fNode], c *perf.Ctx, k core.Key, preds, succs []*fNode, refs []mark.Ref[fNode]) {
 retry:
 	for {
 		pred := l.head
 		for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
 			predRef := pred.next[lvl].Load()
-			if predRef.marked {
+			if predRef.Marked {
 				// pred got deleted while we were descending:
 				// the "marked element met when switching
 				// levels" restart.
 				c.Inc(perf.EvRestart)
 				continue retry
 			}
-			curr := predRef.n
+			curr := predRef.N
 			for {
 				cRef := curr.next[lvl].Load()
-				for cRef.marked {
+				for cRef.Marked {
 					// Unlink the deleted node; restart on failure.
-					nr := &fRef{n: cRef.n}
+					nr := mark.Ref[fNode]{N: cRef.N}
 					if !pred.next[lvl].CompareAndSwap(predRef, nr) {
 						c.Inc(perf.EvCASFail)
 						c.Inc(perf.EvRestart)
@@ -98,14 +92,14 @@ retry:
 						freeF1(a, curr)
 					}
 					predRef = nr
-					curr = cRef.n
+					curr = cRef.N
 					cRef = curr.next[lvl].Load()
 				}
 				if curr.key < k {
 					c.Inc(perf.EvTraverse)
 					pred = curr
 					predRef = cRef
-					curr = cRef.n
+					curr = cRef.N
 					continue
 				}
 				break
@@ -119,25 +113,25 @@ retry:
 }
 
 // parseOpt is the ASCY1/2 walk: skip marked nodes with plain loads, never
-// store, never restart. refs[lvl] is pred's record at walk time; an update
+// store, never restart. refs[lvl] is pred's link at walk time; an update
 // CAS against it atomically swallows any marked span between pred and succ.
-func (l *Fraser) parseOpt(c *perf.Ctx, k core.Key, preds, succs []*fNode, refs []*fRef) {
+func (l *Fraser) parseOpt(c *perf.Ctx, k core.Key, preds, succs []*fNode, refs []mark.Ref[fNode]) {
 	pred := l.head
 	for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
 		predRef := pred.next[lvl].Load()
-		curr := predRef.n
+		curr := predRef.N
 		for curr != l.tail {
 			cRef := curr.next[lvl].Load()
-			if cRef.marked {
+			if cRef.Marked {
 				c.Inc(perf.EvTraverse)
-				curr = cRef.n // skip deleted; no helping
+				curr = cRef.N // skip deleted; no helping
 				continue
 			}
 			if curr.key < k {
 				c.Inc(perf.EvTraverse)
 				pred = curr
 				predRef = cRef
-				curr = cRef.n
+				curr = cRef.N
 				continue
 			}
 			break
@@ -148,7 +142,7 @@ func (l *Fraser) parseOpt(c *perf.Ctx, k core.Key, preds, succs []*fNode, refs [
 	}
 }
 
-func (l *Fraser) parse(a *ssmem.Allocator[fNode], c *perf.Ctx, k core.Key, preds, succs []*fNode, refs []*fRef) {
+func (l *Fraser) parse(a *ssmem.Allocator[fNode], c *perf.Ctx, k core.Key, preds, succs []*fNode, refs []mark.Ref[fNode]) {
 	if l.optimized {
 		l.parseOpt(c, k, preds, succs, refs)
 	} else {
@@ -165,18 +159,18 @@ func (l *Fraser) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		pred := l.head
 		var cand *fNode
 		for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
-			curr := pred.next[lvl].Load().n
+			curr := pred.next[lvl].Load().N
 			for curr != l.tail {
 				cRef := curr.next[lvl].Load()
-				if cRef.marked {
+				if cRef.Marked {
 					c.Inc(perf.EvTraverse)
-					curr = cRef.n
+					curr = cRef.N
 					continue
 				}
 				if curr.key < k {
 					c.Inc(perf.EvTraverse)
 					pred = curr
-					curr = cRef.n
+					curr = cRef.N
 					continue
 				}
 				break
@@ -185,13 +179,13 @@ func (l *Fraser) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 				cand = curr
 			}
 		}
-		if cand != nil && !cand.next[0].Load().marked {
+		if cand != nil && !cand.next[0].Load().Marked {
 			return cand.val, true
 		}
 		return 0, false
 	}
 	var preds, succs [maxHeight]*fNode
-	var refs [maxHeight]*fRef
+	var refs [maxHeight]mark.Ref[fNode]
 	l.search(a, c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
 	if s := succs[0]; s != l.tail && s.key == k {
 		return s.val, true
@@ -204,7 +198,7 @@ func (l *Fraser) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 	a := ssmem.Pin(l.rec)
 	defer ssmem.Unpin(l.rec, a)
 	var preds, succs [maxHeight]*fNode
-	var refs [maxHeight]*fRef
+	var refs [maxHeight]mark.Ref[fNode]
 	h := randomLevel(l.maxLevel)
 	var node *fNode // allocated once, reused across CAS retries
 	for {
@@ -217,12 +211,12 @@ func (l *Fraser) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 		}
 		// The optimistic parse may hand back a ref read from a
 		// predecessor that was fully removed while we descended; its
-		// record is marked. CASing it would link the new node under a
+		// link is marked. CASing it would link the new node under a
 		// dead node (and resurrect the dead node's next pointer), so
 		// such parses must be redone — this residual restart is why
 		// fraser-opt's parse-restart rate is small but not zero in the
 		// paper (§5: 0.09% vs fraser's 1.07% at 20 threads).
-		if refs[0].marked {
+		if refs[0].Marked {
 			c.Inc(perf.EvParseRestart)
 			continue
 		}
@@ -230,10 +224,10 @@ func (l *Fraser) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 			node = allocF(a, k, v, h)
 		}
 		for lvl := 0; lvl < h; lvl++ {
-			node.next[lvl].Store(&fRef{n: succs[lvl]})
+			node.next[lvl].Store(mark.Ref[fNode]{N: succs[lvl]})
 		}
 		// Level 0 linearizes the insert.
-		if !preds[0].next[0].CompareAndSwap(refs[0], &fRef{n: node}) {
+		if !preds[0].next[0].CompareAndSwap(refs[0], mark.Ref[fNode]{N: node}) {
 			c.Inc(perf.EvCASFail)
 			c.Inc(perf.EvParseRestart)
 			continue
@@ -241,19 +235,19 @@ func (l *Fraser) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 		c.Inc(perf.EvCAS)
 		// The CAS also swallowed the marked level-0 span the optimized
 		// parse stepped over; free its height-1 members.
-		freeF0Span(a, refs[0].n, succs[0])
+		freeF0Span(a, refs[0].N, succs[0])
 		// Link the upper levels; conflicts refresh via a (cleaning)
 		// search, as in Fraser's original.
 		for lvl := 1; lvl < h; lvl++ {
 			for {
 				own := node.next[lvl].Load()
-				if own.marked {
+				if own.Marked {
 					return true // node already being deleted
 				}
 				// A marked ref means the recorded predecessor
 				// died at this level; fall through to the
 				// cleaning search for fresh positions.
-				if !refs[lvl].marked && preds[lvl].next[lvl].CompareAndSwap(refs[lvl], &fRef{n: node}) {
+				if !refs[lvl].Marked && preds[lvl].next[lvl].CompareAndSwap(refs[lvl], mark.Ref[fNode]{N: node}) {
 					c.Inc(perf.EvCAS)
 					break
 				}
@@ -262,9 +256,9 @@ func (l *Fraser) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 				if succs[0] != node {
 					return true // unlinked already; stop building
 				}
-				if succs[lvl] != own.n {
+				if succs[lvl] != own.N {
 					// Retarget our own pointer before retrying.
-					if !node.next[lvl].CompareAndSwap(own, &fRef{n: succs[lvl]}) {
+					if !node.next[lvl].CompareAndSwap(own, mark.Ref[fNode]{N: succs[lvl]}) {
 						return true // marked under us
 					}
 				}
@@ -279,7 +273,7 @@ func (l *Fraser) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	a := ssmem.Pin(l.rec)
 	defer ssmem.Unpin(l.rec, a)
 	var preds, succs [maxHeight]*fNode
-	var refs [maxHeight]*fRef
+	var refs [maxHeight]mark.Ref[fNode]
 	c.ParseBegin()
 	l.parse(a, c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
 	c.ParseEnd()
@@ -291,10 +285,10 @@ func (l *Fraser) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	for lvl := len(node.next) - 1; lvl >= 1; lvl-- {
 		for {
 			r := node.next[lvl].Load()
-			if r.marked {
+			if r.Marked {
 				break
 			}
-			if node.next[lvl].CompareAndSwap(r, &fRef{n: r.n, marked: true}) {
+			if node.next[lvl].CompareAndSwap(r, mark.Ref[fNode]{N: r.N, Marked: true}) {
 				c.Inc(perf.EvCAS)
 				break
 			}
@@ -303,10 +297,10 @@ func (l *Fraser) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	}
 	for {
 		r := node.next[0].Load()
-		if r.marked {
+		if r.Marked {
 			return 0, false // another remover linearized first
 		}
-		if node.next[0].CompareAndSwap(r, &fRef{n: r.n, marked: true}) {
+		if node.next[0].CompareAndSwap(r, mark.Ref[fNode]{N: r.N, Marked: true}) {
 			c.Inc(perf.EvCAS)
 			break
 		}
@@ -317,13 +311,13 @@ func (l *Fraser) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		// Single best-effort unlink; otherwise future update CASes
 		// swallow the marked span. Never CAS a marked ref: that would
 		// resurrect a dead predecessor's next pointer.
-		target := node.next[0].Load().n // frozen by the mark
-		if !refs[0].marked && preds[0].next[0].CompareAndSwap(refs[0], &fRef{n: target}) {
+		target := node.next[0].Load().N // frozen by the mark
+		if !refs[0].Marked && preds[0].next[0].CompareAndSwap(refs[0], mark.Ref[fNode]{N: target}) {
 			c.Inc(perf.EvCAS)
 			c.Inc(perf.EvCleanup)
-			// Detached [refs[0].n .. target): node plus any marked
+			// Detached [refs[0].N .. target): node plus any marked
 			// span the parse stepped over.
-			freeF0Span(a, refs[0].n, target)
+			freeF0Span(a, refs[0].N, target)
 		}
 	} else {
 		// Fraser: eager cleanup via a fresh search (which frees what
@@ -347,12 +341,12 @@ func (l *Fraser) Size() int {
 	a := ssmem.Pin(l.rec)
 	defer ssmem.Unpin(l.rec, a)
 	n := 0
-	for curr := l.head.next[0].Load().n; curr != l.tail; {
+	for curr := l.head.next[0].Load().N; curr != l.tail; {
 		ref := curr.next[0].Load()
-		if !ref.marked {
+		if !ref.Marked {
 			n++
 		}
-		curr = ref.n
+		curr = ref.N
 	}
 	return n
 }

@@ -1,12 +1,10 @@
 package skiplist
 
 import (
-	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/settest"
 )
 
 // TestFraserOptChurnRegression guards against the marked-ref parse bug: the
@@ -17,66 +15,45 @@ import (
 func TestFraserOptChurnRegression(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		l := NewFraser(core.DefaultConfig(), true)
-		const workers = 8
-		const keyRange = 64
-		var present [keyRange + 1]atomic.Int64
-		var insT, remT [keyRange + 1]atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				r := rand.New(rand.NewSource(int64(round*100 + w)))
-				for i := 0; i < 5000; i++ {
-					k := core.Key(r.Intn(keyRange) + 1)
-					switch r.Intn(3) {
-					case 0:
-						if l.Insert(k, core.Value(k)) {
-							present[k].Add(1)
-							insT[k].Add(1)
-						}
-					case 1:
-						if _, ok := l.Remove(k); ok {
-							present[k].Add(-1)
-							remT[k].Add(1)
-						}
-					default:
-						l.Search(k)
-					}
-				}
-			}(w)
+		present := settest.Churn(t, l, 8, 64, 5000, int64(round*100))
+		settest.AuditOrder(t, present, l.walkLevel0)
+	}
+}
+
+// TestRecycleChurnRegression: Fraser's CASes compare tagged words by value,
+// which is ABA-safe only because no operation holds a node address outside
+// its epoch bracket. With RecycleThreshold(1) a freed height-1 node is
+// handed out again almost at once, so a CAS outside a bracket would soon hit
+// a reused node. Churn a tiny key range hard, then audit presence against
+// Search and the level-0 order.
+func TestRecycleChurnRegression(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.MaxLevel = 4
+	cfg.Recycle, cfg.RecycleThreshold = true, 1
+	for _, opt := range []bool{false, true} {
+		name := "fraser"
+		if opt {
+			name = "fraser-opt"
 		}
-		wg.Wait()
-		for k := core.Key(1); k <= keyRange; k++ {
-			n := present[k].Load()
-			_, ok := l.Search(k)
-			if ok != (n == 1) {
-				// Dump level-0 neighbourhood of k.
-				t.Logf("round %d key %d: search=%v presence=%d inserts=%d removes=%d", round, k, ok, n, insT[k].Load(), remT[k].Load())
-				found := false
-				for curr := l.head.next[0].Load().n; curr != l.tail; {
-					ref := curr.next[0].Load()
-					if curr.key == k {
-						t.Logf("  level0 has key %d marked=%v height=%d", curr.key, ref.marked, len(curr.next))
-						if !ref.marked {
-							found = true
-						}
-					}
-					curr = ref.n
+		t.Run(name, func(t *testing.T) {
+			for round := 0; round < 4; round++ {
+				l := NewFraser(cfg, opt)
+				present := settest.Churn(t, l, 8, 6, 3000, int64(round*100))
+				settest.AuditOrder(t, present, l.walkLevel0)
+				if st := l.RecycleStats(); st.Frees > st.Allocs {
+					t.Fatalf("more frees than allocations (double free): %+v", st)
 				}
-				t.Logf("  level0 reachable unmarked: %v", found)
-				// Check upper levels for the key.
-				for lvl := 1; lvl < l.maxLevel; lvl++ {
-					for curr := l.head.next[lvl].Load().n; curr != nil && curr != l.tail; {
-						ref := curr.next[lvl].Load()
-						if curr.key == k {
-							t.Logf("  level%d has key %d marked=%v", lvl, curr.key, ref.marked)
-						}
-						curr = ref.n
-					}
-				}
-				t.Fatalf("inconsistency found in round %d", round)
 			}
-		}
+		})
+	}
+}
+
+// walkLevel0 visits every node linked at level 0, head to tail, with
+// whether it is live (unmarked). Quiescent use only.
+func (l *Fraser) walkLevel0(visit func(k core.Key, live bool)) {
+	for n := l.head.next[0].Load().N; n != l.tail; {
+		r := n.next[0].Load()
+		visit(n.key, !r.Marked)
+		n = r.N
 	}
 }

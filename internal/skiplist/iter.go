@@ -83,12 +83,12 @@ func (l *Herlihy) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
 	}
 }
 
-// ascend implements core.AscendFunc over the marked (successor, marked)
-// records, as in the searches. Epoch-pinned under recycling.
+// ascend implements core.AscendFunc over the tagged (successor, marked)
+// links, as in the searches. Epoch-pinned under recycling.
 // The descent steps over marked nodes via their frozen pointers without
 // resting pred on them, exactly like parseOpt: a marked node stays
 // physically linked until some later CAS swallows it, but its own next
-// records are frozen at marking time — an element inserted after that
+// links are frozen at marking time — an element inserted after that
 // (which detached the dead node from the live chain at that level) is
 // only reachable through the live chain, so a pred resting on the dead
 // node would start the level-0 walk on a stale chain and skip it. The
@@ -100,25 +100,25 @@ func (l *Fraser) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
 	defer ssmem.Unpin(l.rec, a)
 	pred := l.head
 	for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
-		curr := pred.next[lvl].Load().n
+		curr := pred.next[lvl].Load().N
 		for curr != nil && curr != l.tail {
 			cRef := curr.next[lvl].Load()
-			if cRef.marked {
-				curr = cRef.n // dead: step over, keep pred live
+			if cRef.Marked {
+				curr = cRef.N // dead: step over, keep pred live
 				continue
 			}
 			if curr.key >= lo {
 				break
 			}
 			pred = curr
-			curr = cRef.n
+			curr = cRef.N
 		}
 	}
-	for curr := pred.next[0].Load().n; curr != l.tail; {
+	for curr := pred.next[0].Load().N; curr != l.tail; {
 		ref := curr.next[0].Load()
-		if curr.key >= lo && !ref.marked && !yield(curr.key, curr.val) {
+		if curr.key >= lo && !ref.Marked && !yield(curr.key, curr.val) {
 			return
 		}
-		curr = ref.n
+		curr = ref.N
 	}
 }

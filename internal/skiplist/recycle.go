@@ -13,14 +13,17 @@
 // The epoch rules are the same as for the lists: every operation, including
 // searches and scans, brackets itself with OpStart/OpEnd, so a freed node's
 // fields are never reinitialized while any traversal that could have
-// reached it is still running. CASes compare *fRef record pointers, which
-// are never recycled, so node reuse cannot cause ABA.
+// reached it is still running. The same brackets rule out ABA: a CAS
+// compares a tagged word (successor address, mark) by value, and no address
+// an operation loaded inside its bracket is handed out again before that
+// bracket closes.
 package skiplist
 
 import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/mark"
 	"repro/internal/ssmem"
 )
 
@@ -42,7 +45,7 @@ func allocF(a *ssmem.Allocator[fNode], k core.Key, v core.Value, h int) *fNode {
 	n := a.Alloc()
 	n.key, n.val = k, v
 	if n.next == nil {
-		n.next = make([]atomic.Pointer[fRef], 1)
+		n.next = make([]mark.Link[fNode], 1)
 	}
 	return n
 }
@@ -55,13 +58,13 @@ func freeF1(a *ssmem.Allocator[fNode], n *fNode) {
 }
 
 // freeF0Span walks the physically detached level-0 segment [from, to) —
-// all marked, with frozen level-0 records — freeing its height-1 members.
+// all marked, with frozen level-0 links — freeing its height-1 members.
 func freeF0Span(a *ssmem.Allocator[fNode], from, to *fNode) {
 	if a == nil {
 		return
 	}
 	for n := from; n != to; {
-		next := n.next[0].Load().n
+		next := n.next[0].Load().N
 		if len(n.next) == 1 {
 			a.Free(n)
 		}

@@ -5,9 +5,8 @@
 // (§5, Figure 5).
 //
 // All variants share the geometric (p = 1/2) level distribution and
-// head/tail sentinels. The lock-free variants encode Fraser's per-level
-// marked pointers as immutable (successor, marked) records, as in
-// internal/linkedlist.
+// head/tail sentinels. The lock-free variants keep Fraser's per-level
+// marked pointers as tagged words (internal/mark), as in internal/linkedlist.
 package skiplist
 
 import (

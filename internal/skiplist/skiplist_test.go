@@ -47,20 +47,20 @@ func TestFraserTowerContainment(t *testing.T) {
 			l.Remove(k)
 		}
 		level0 := map[core.Key]bool{}
-		for curr := l.head.next[0].Load().n; curr != l.tail; {
+		for curr := l.head.next[0].Load().N; curr != l.tail; {
 			ref := curr.next[0].Load()
-			if !ref.marked {
+			if !ref.Marked {
 				level0[curr.key] = true
 			}
-			curr = ref.n
+			curr = ref.N
 		}
 		for lvl := 1; lvl < l.maxLevel; lvl++ {
-			for curr := l.head.next[lvl].Load().n; curr != nil && curr != l.tail; {
+			for curr := l.head.next[lvl].Load().N; curr != nil && curr != l.tail; {
 				ref := curr.next[lvl].Load()
-				if !ref.marked && !level0[curr.key] {
+				if !ref.Marked && !level0[curr.key] {
 					t.Fatalf("opt=%v: key %d at level %d but not live at level 0", opt, curr.key, lvl)
 				}
-				curr = ref.n
+				curr = ref.N
 			}
 		}
 	}
@@ -128,11 +128,11 @@ func TestFraserSearchCleansUp(t *testing.T) {
 	for k := core.Key(1); k <= 100; k++ {
 		l.Search(k)
 	}
-	for curr := l.head.next[0].Load().n; curr != l.tail; {
+	for curr := l.head.next[0].Load().N; curr != l.tail; {
 		ref := curr.next[0].Load()
-		if ref.marked {
+		if ref.Marked {
 			t.Fatalf("marked node %d still reachable after cleaning searches", curr.key)
 		}
-		curr = ref.n
+		curr = ref.N
 	}
 }
