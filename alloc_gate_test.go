@@ -168,7 +168,9 @@ func TestRemoveInsertSteadyStateRecycling(t *testing.T) {
 // TestRemoveInsertAllocs: without recycling a remove+insert cycle pays for
 // the new node and nothing else — a CAS swaps a tagged word and allocates
 // nothing. A Fraser node is two allocations (node and tower), a list node
-// one, and ht-harris inherits its buckets' cost.
+// one, and ht-harris inherits its buckets' cost. A bst-tk insert allocates
+// a leaf and a router; the count cannot see their size, so TestTKNodeLayout
+// in internal/bst pins the bytes.
 func TestRemoveInsertAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are meaningless under race instrumentation")
@@ -183,6 +185,7 @@ func TestRemoveInsertAllocs(t *testing.T) {
 		{"ht-harris", 1},
 		{"sl-fraser", 2},
 		{"sl-fraser-opt", 2},
+		{"bst-tk", 2},
 	} {
 		t.Run(tc.algo, func(t *testing.T) {
 			s := core.MustNew(tc.algo, core.Capacity(64))

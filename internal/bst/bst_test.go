@@ -3,6 +3,7 @@ package bst
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/perf"
@@ -18,8 +19,9 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// orderInvariant checks BST ordering over the external trees' leaves by
-// draining via Search on the full key range after a churn.
+// TestTKStructure inserts 1..200 and removes the even keys, then checks the
+// tree's shape with checkExternalOrder and that Search finds exactly the
+// odd keys.
 func TestTKStructure(t *testing.T) {
 	tr := NewTK(core.DefaultConfig())
 	for k := core.Key(1); k <= 200; k++ {
@@ -41,16 +43,82 @@ func TestTKStructure(t *testing.T) {
 	}
 }
 
+// checkExternalOrder walks the subtree at n, whose keys must lie in
+// [lo, hi): every node has zero or two children (a leaf is a node whose
+// left child is nil), and each leaf's key lies between its routers' keys.
 func checkExternalOrder(t *testing.T, n *tkNode, lo, hi core.Key) {
 	t.Helper()
-	if n.leaf {
+	if n.isLeaf() {
+		if n.right.Load() != nil {
+			t.Fatalf("node %d has a right child but no left child", n.key)
+		}
 		if n.key != sentinelKey && (n.key < lo || n.key >= hi) {
 			t.Fatalf("leaf %d outside (%d, %d)", n.key, lo, hi)
 		}
 		return
 	}
+	if n.right.Load() == nil {
+		t.Fatalf("router %d has no right child", n.key)
+	}
 	checkExternalOrder(t, n.left.Load(), lo, n.key)
 	checkExternalOrder(t, n.right.Load(), n.key, hi)
+}
+
+// TestTKNodeLayout pins BST-TK's node to the sequential external node's
+// size.
+func TestTKNodeLayout(t *testing.T) {
+	tk, se := unsafe.Sizeof(tkNode{}), unsafe.Sizeof(seNode{})
+	if tk != 32 || se != 32 {
+		t.Fatalf("sizeof(tkNode) = %d, sizeof(seNode) = %d, want 32 for both: "+
+			"a hop touches one cache line only when the node's size class divides 64", tk, se)
+	}
+}
+
+// TestTKConcurrentStructure churns a 64-key hot range from 4 goroutines,
+// then walks the tree. Every router must have two children (the invariant
+// the nil-left leaf test rests on), leaves must be in order, each leaf must
+// hold the value inserted for its key (a lock operation reaching a leaf
+// would overwrite it), and both sentinel leaves must be intact.
+func TestTKConcurrentStructure(t *testing.T) {
+	tr := NewTK(core.DefaultConfig())
+	present := settest.Churn(t, tr, 4, 64, 20000, 1)
+	checkExternalOrder(t, tr.groot.left.Load(), 0, sentinelKey)
+	var leaves []*tkNode
+	var walk func(n *tkNode)
+	walk = func(n *tkNode) {
+		if n.isLeaf() {
+			leaves = append(leaves, n)
+			return
+		}
+		walk(n.left.Load())
+		walk(n.right.Load())
+	}
+	walk(tr.groot.left.Load())
+	last := leaves[len(leaves)-1]
+	leaves = leaves[:len(leaves)-1]
+	for _, s := range []*tkNode{last, tr.groot.right.Load()} {
+		if !s.isLeaf() || s.key != sentinelKey || s.val() != 0 {
+			t.Fatalf("sentinel leaf = {key %d, val %d, leaf %v}, want {%d, 0, true}",
+				s.key, s.val(), s.isLeaf(), sentinelKey)
+		}
+	}
+	n := 0
+	for _, p := range present {
+		if p {
+			n++
+		}
+	}
+	if len(leaves) != n {
+		t.Fatalf("%d non-sentinel leaves, want %d present keys", len(leaves), n)
+	}
+	for _, l := range leaves {
+		if int(l.key) >= len(present) || !present[l.key] {
+			t.Fatalf("leaf %d is not a present key", l.key)
+		}
+		if l.val() != core.Value(l.key) {
+			t.Fatalf("leaf %d holds value %d, want %d", l.key, l.val(), l.key)
+		}
+	}
 }
 
 // TestTKLockAccounting checks the paper's headline property: one lock per

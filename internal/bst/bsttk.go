@@ -95,14 +95,32 @@ func (l *dualLock) tryLockBoth(lv, rv uint16) bool {
 	return l.w.CompareAndSwap(old, nw)
 }
 
+// tkNode is one node of BST-TK, router or leaf, in the sequential external
+// node's 32 bytes (seNode): a size class that divides a 64-byte line, so a
+// hop touches one line. A node is a leaf iff left is nil — a router
+// publishes both children before it is linked and a remove only ever
+// stores a sibling, never nil. The last word is a union: a router's
+// dualLock, or a leaf's value. A leaf's word is written before the leaf is
+// published and only ever Loaded; no lock operation reaches a leaf,
+// because parse reads versions only of routers and updates lock only the
+// parent and grandparent, which are routers.
 type tkNode struct {
-	key   core.Key
-	val   core.Value
-	left  atomic.Pointer[tkNode]
-	right atomic.Pointer[tkNode]
-	lock  dualLock
-	leaf  bool
+	key         core.Key
+	left, right atomic.Pointer[tkNode] // left == nil for leaves
+	lock        dualLock               // router: edge locks; leaf: value
 }
+
+// newTKLeaf returns an unpublished leaf holding (k, v).
+func newTKLeaf(k core.Key, v core.Value) *tkNode {
+	n := &tkNode{key: k}
+	n.lock.w.Store(uint64(v))
+	return n
+}
+
+func (n *tkNode) isLeaf() bool { return n.left.Load() == nil }
+
+// val is a leaf's value.
+func (n *tkNode) val() core.Value { return core.Value(n.lock.w.Load()) }
 
 func (n *tkNode) child(left bool) *atomic.Pointer[tkNode] {
 	if left {
@@ -111,13 +129,14 @@ func (n *tkNode) child(left bool) *atomic.Pointer[tkNode] {
 	return &n.right
 }
 
-// TK is BST-TK (§6.2): an external tree whose internal (router) nodes carry
-// the dualLock version/lock word. Updates parse optimistically, recording
-// edge versions; the update then acquires exactly the observed versions
-// (1 edge for an insert, the grandparent edge plus both halves of the parent
-// for a remove) — failure means a concurrent update intervened, so the
-// operation restarts, exactly as in Figure 10. Searches are pure traversals
-// (ASCY1); unsuccessful updates return after the parse (ASCY3).
+// TK is BST-TK (§6.2): an external tree whose routers carry the dualLock
+// version/lock word and whose leaves carry the elements. Updates parse
+// optimistically, recording edge versions; the update then acquires exactly
+// the observed versions (1 edge for an insert, the grandparent edge plus
+// both halves of the parent for a remove) — failure means a concurrent
+// update intervened, so the operation restarts, exactly as in Figure 10.
+// Searches are pure traversals (ASCY1); unsuccessful updates return after
+// the parse (ASCY3).
 type TK struct {
 	core.OrderedVia
 	groot *tkNode // sentinel router above the user tree
@@ -126,23 +145,28 @@ type TK struct {
 // NewTK returns an empty BST-TK.
 func NewTK(cfg core.Config) *TK {
 	groot := &tkNode{key: sentinelKey}
-	groot.left.Store(&tkNode{key: sentinelKey, leaf: true})
-	groot.right.Store(&tkNode{key: sentinelKey, leaf: true})
+	groot.left.Store(newTKLeaf(sentinelKey, 0))
+	groot.right.Store(newTKLeaf(sentinelKey, 0))
 	s := &TK{groot: groot}
 	s.OrderedVia = core.OrderedVia{Ascend: s.ascend}
 	return s
 }
 
 // SearchCtx implements core.Instrumented: the sequential external-tree
-// search, untouched.
+// search, untouched. A leaf's children are both nil, so the child load that
+// takes a hop also detects the leaf.
 func (t *TK) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	curr := t.groot.left.Load()
-	for !curr.leaf {
+	for {
+		next := curr.child(k < curr.key).Load()
+		if next == nil {
+			break
+		}
 		c.Inc(perf.EvTraverse)
-		curr = curr.child(k < curr.key).Load()
+		curr = next
 	}
 	if curr.key == k {
-		return curr.val, true
+		return curr.val(), true
 	}
 	return 0, false
 }
@@ -155,7 +179,7 @@ func (t *TK) parse(c *perf.Ctx, k core.Key) (gp *tkNode, gpLeft bool, vGP uint16
 	p, pLeft = t.groot, true
 	vP = versionHalf(p.lock.w.Load(), true)
 	curr := p.left.Load()
-	for !curr.leaf {
+	for !curr.isLeaf() {
 		c.Inc(perf.EvTraverse)
 		gp, gpLeft, vGP = p, pLeft, vP
 		dir := k < curr.key
@@ -177,7 +201,7 @@ func (t *TK) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 		if leaf.key == k {
 			return false // ASCY3: no stores on unsuccessful parse
 		}
-		nl := &tkNode{key: k, val: v, leaf: true}
+		nl := newTKLeaf(k, v)
 		router := &tkNode{}
 		if k < leaf.key {
 			router.key = leaf.key
@@ -247,7 +271,7 @@ func (t *TK) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		gp.lock.unlockEdge(gpLeft)
 		// p stays locked forever: it is retired, and the dead lock
 		// word makes any straggler's version acquisition fail.
-		return leaf.val, true
+		return leaf.val(), true
 	}
 }
 
@@ -267,7 +291,7 @@ func (t *TK) Size() int {
 	for len(stack) > 0 {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if nd.leaf {
+		if nd.isLeaf() {
 			if nd.key != sentinelKey {
 				n++
 			}

@@ -70,11 +70,11 @@ func tkAscend(nd *tkNode, lo core.Key, yield func(core.Key, core.Value) bool) bo
 	if nd == nil {
 		return true
 	}
-	if nd.leaf {
+	if nd.isLeaf() {
 		if nd.key == sentinelKey || nd.key < lo {
 			return true
 		}
-		return yield(nd.key, nd.val)
+		return yield(nd.key, nd.val())
 	}
 	if lo < nd.key && !tkAscend(nd.left.Load(), lo, yield) {
 		return false
