@@ -25,7 +25,6 @@ type Client struct {
 	br      *bufio.Reader
 	bw      *bufio.Writer
 	scratch [24]byte // number formatting without fmt
-	fields  [][]byte // reused by the zero-alloc receive paths
 }
 
 // Dial connects to a memcached-protocol server.
@@ -34,22 +33,12 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewClientConn(c), nil
-}
-
-// NewClientConn wraps an already-established transport as a Client. It is
-// the seam the chaos harness plugs into: a faultnet.Conn (or any other
-// net.Conn) goes in, and the protocol code above it cannot tell the
-// difference.
-func NewClientConn(c net.Conn) *Client {
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
+	c.(*net.TCPConn).SetNoDelay(true)
 	return &Client{
 		c:  c,
 		br: newReader(c, 64<<10),
 		bw: bufio.NewWriterSize(c, 64<<10),
-	}
+	}, nil
 }
 
 // Close sends quit and closes the connection.
@@ -97,19 +86,6 @@ func (c *Client) SendGet(withCAS bool, keys ...string) error {
 	return err
 }
 
-// SendGet1 queues a single-key get without the variadic call's slice — the
-// guaranteed-no-alloc form.
-func (c *Client) SendGet1(withCAS bool, key string) error {
-	if withCAS {
-		c.bw.WriteString("gets ")
-	} else {
-		c.bw.WriteString("get ")
-	}
-	c.bw.WriteString(key)
-	_, err := c.bw.Write(crlf)
-	return err
-}
-
 // writeUint appends one space-prefixed decimal to the send buffer without
 // allocating.
 func (c *Client) writeUint(v uint64) {
@@ -142,9 +118,7 @@ func (c *Client) SendStore(verb, key string, flags uint32, exptime int64, data [
 
 // SendMRange queues an ordered range scan: lo <= key <= hi, at most limit
 // entries. The response is framed exactly like a get's (VALUE stanzas then
-// END), so any of the get receive halves pairs with it — RecvGet to
-// materialize the entries, RecvGetN for allocation-free accounting.
-// Allocation-free.
+// END), so RecvGet pairs with it. Allocation-free.
 func (c *Client) SendMRange(lo, hi string, limit uint64) error {
 	c.bw.WriteString("mrange ")
 	c.bw.WriteString(lo)
@@ -285,10 +259,6 @@ func (c *Client) RecvGet() ([]Entry, error) {
 	}
 }
 
-// RecvLine receives a single-line response (STORED, DELETED, NOT_FOUND, a
-// decimal, …) for any queued single-line-response command.
-func (c *Client) RecvLine() (string, error) { return c.readLine() }
-
 // readLineSlice reads one response line without allocating; the slice is
 // valid until the next read. Response lines always fit the read buffer.
 func (c *Client) readLineSlice() ([]byte, error) {
@@ -301,55 +271,6 @@ func (c *Client) readLineSlice() ([]byte, error) {
 		line = line[:n-1]
 	}
 	return line, nil
-}
-
-// RecvGetN consumes the response of one SendGet, discarding the payloads,
-// and returns the number of entries and their total data bytes: the
-// allocation-free receive half, hit accounting without materializing keys
-// or values.
-func (c *Client) RecvGetN() (entries int, dataBytes int64, err error) {
-	for {
-		line, err := c.readLineSlice()
-		if err != nil {
-			return entries, dataBytes, err
-		}
-		if len(line) == 3 && line[0] == 'E' && string(line) == "END" {
-			return entries, dataBytes, nil
-		}
-		c.fields = splitFields(line, c.fields)
-		if len(c.fields) < 4 || string(c.fields[0]) != "VALUE" {
-			if err := serverError(string(line)); err != nil {
-				return entries, dataBytes, err
-			}
-			return entries, dataBytes, fmt.Errorf("client: malformed VALUE line %q", line)
-		}
-		size, ok := parseU64(c.fields[3])
-		if !ok {
-			return entries, dataBytes, fmt.Errorf("client: bad size in %q", line)
-		}
-		// Discard the data block and its CRLF terminator.
-		toSkip := int(size)
-		for toSkip > 0 {
-			n, err := c.br.Discard(toSkip)
-			toSkip -= n
-			if err != nil {
-				return entries, dataBytes, err
-			}
-		}
-		b0, err := c.br.ReadByte()
-		if err != nil {
-			return entries, dataBytes, err
-		}
-		b1, err := c.br.ReadByte()
-		if err != nil {
-			return entries, dataBytes, err
-		}
-		if b0 != '\r' || b1 != '\n' {
-			return entries, dataBytes, fmt.Errorf("client: value block not CRLF-terminated")
-		}
-		entries++
-		dataBytes += int64(size)
-	}
 }
 
 // RecvStored receives a storage response and reports whether it was
@@ -523,36 +444,14 @@ func (c *Client) incrDecr(key string, delta uint64, incr bool) (uint64, bool, er
 	return v, true, nil
 }
 
-// SendStats queues a stats request; pair with RecvStats. The split halves
-// exist for fan-out callers (the cluster client pipelines one stats request
-// to every node, then collects) — synchronous use wants Stats.
-func (c *Client) SendStats() error {
-	_, err := c.bw.WriteString("stats\r\n")
-	return err
-}
-
-// SendFlushAll queues a flush_all with the given delay (0 flushes
-// immediately); the response is one "OK" line (RecvLine).
-func (c *Client) SendFlushAll(delay int64) error {
-	c.bw.WriteString("flush_all")
-	c.writeInt(delay)
-	_, err := c.bw.Write(crlf)
-	return err
-}
-
 // Stats retrieves the server's statistics.
 func (c *Client) Stats() (map[string]string, error) {
-	if err := c.SendStats(); err != nil {
+	if _, err := c.bw.WriteString("stats\r\n"); err != nil {
 		return nil, err
 	}
 	if err := c.Flush(); err != nil {
 		return nil, err
 	}
-	return c.RecvStats()
-}
-
-// RecvStats receives the response of one SendStats.
-func (c *Client) RecvStats() (map[string]string, error) {
 	out := map[string]string{}
 	for {
 		line, err := c.readLine()
@@ -592,7 +491,7 @@ func (c *Client) Version() (string, error) {
 
 // FlushAll empties the server's store.
 func (c *Client) FlushAll() error {
-	if err := c.SendFlushAll(0); err != nil {
+	if _, err := c.bw.WriteString("flush_all 0\r\n"); err != nil {
 		return err
 	}
 	if err := c.Flush(); err != nil {

@@ -16,8 +16,8 @@
 // live value at some instant inside the snapshot window (the walk observes
 // each entry once, under the epoch that keeps it coherent). It is not a
 // cross-key atomic cut — the same contract the store already documents for
-// RangeScan and the cluster layer documents across nodes — and it is
-// exactly what the linearizable-cut differential test asserts.
+// RangeScan — and it is exactly what the linearizable-cut differential test
+// asserts.
 package server
 
 import (

@@ -18,7 +18,7 @@ type rec struct {
 	expireAt int64
 }
 
-func writeTestFile(t *testing.T, path string, h Header, recs []rec) int64 {
+func writeTestFile(t testing.TB, path string, h Header, recs []rec) int64 {
 	t.Helper()
 	size, err := WriteFile(path, func(f io.Writer) error {
 		w, err := NewWriter(f, h)
@@ -38,24 +38,31 @@ func writeTestFile(t *testing.T, path string, h Header, recs []rec) int64 {
 	return size
 }
 
-func readAll(path string) ([]rec, Header, error) {
-	f, err := os.Open(path)
+// readAll decodes the snapshot file at path; see decodeAll.
+func readAll(t *testing.T, path string) ([]rec, Header, error) {
+	t.Helper()
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, Header{}, err
+		t.Fatal(err)
 	}
-	defer f.Close()
-	r, err := NewReader(f)
-	if err != nil {
-		return nil, Header{}, err
-	}
+	return decodeAll(t, b)
+}
+
+// decodeAll reads b to the end of its record stream, copying each record.
+// The error is nil after a clean io.EOF and otherwise the reader's own,
+// which must be ErrCorrupt; every record returned must respect the length
+// caps.
+func decodeAll(t *testing.T, b []byte) ([]rec, Header, error) {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(b))
 	var out []rec
-	for {
-		rr, err := r.Next()
-		if err == io.EOF {
-			return out, r.Header(), nil
+	for err == nil {
+		var rr *Record
+		if rr, err = r.Next(); err != nil {
+			break
 		}
-		if err != nil {
-			return out, r.Header(), err
+		if len(rr.Key) > maxKeyLen || len(rr.Data) > maxDataLen {
+			t.Fatalf("record over the caps: key %d bytes, data %d bytes", len(rr.Key), len(rr.Data))
 		}
 		out = append(out, rec{
 			key:      string(rr.Key),
@@ -64,6 +71,13 @@ func readAll(path string) ([]rec, Header, error) {
 			expireAt: rr.ExpireAt,
 		})
 	}
+	if err == io.EOF {
+		return out, r.Header(), nil
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decode error %v is not ErrCorrupt", err)
+	}
+	return out, Header{}, err
 }
 
 func TestSnapshotRoundtrip(t *testing.T) {
@@ -101,7 +115,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 		t.Fatalf("header mismatch: %+v", gh)
 	}
 
-	got, _, err := readAll(path)
+	got, _, err := readAll(t, path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -118,7 +132,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 func TestSnapshotEmptyFileOfRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.db")
 	writeTestFile(t, path, Header{Algo: "ht-clht-lb", Shards: 1}, nil)
-	got, _, err := readAll(path)
+	got, _, err := readAll(t, path)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty snapshot: got %d records, err %v", len(got), err)
 	}
@@ -127,66 +141,77 @@ func TestSnapshotEmptyFileOfRecords(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruptionMatrix is the satellite corruption matrix: every
-// damaged shape must be detected (ErrCorrupt or a read error), and none may
-// panic. The cases mirror what a crash or bit-rot can actually produce.
-func TestSnapshotCorruptionMatrix(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.db")
+// corruptionFixture encodes the valid snapshot the corruptions damage: 2000
+// records, about 150 KB, so the stream spans several blocks.
+func corruptionFixture(tb testing.TB) []byte {
+	tb.Helper()
 	var recs []rec
 	for i := 0; i < 2000; i++ {
 		recs = append(recs, rec{
-			key:  fmt.Sprintf("key-%06d", i),
-			data: fmt.Sprintf("value-%06d-%s", i, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"),
+			key:      fmt.Sprintf("key-%06d", i),
+			data:     fmt.Sprintf("value-%06d-%s", i, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"),
+			flags:    uint32(i),
+			expireAt: int64(i) << 20,
 		})
 	}
-	writeTestFile(t, good, Header{Algo: "ll-lazy", Shards: 2}, recs)
-	blob, err := os.ReadFile(good)
+	path := filepath.Join(tb.TempDir(), "good.db")
+	writeTestFile(tb, path, Header{Algo: "ll-lazy", Shards: 2}, recs)
+	blob, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return blob
+}
 
-	cases := []struct {
-		name   string
-		mutate func([]byte) []byte
-	}{
-		{"zero-length", func(b []byte) []byte { return nil }},
-		{"truncated-header", func(b []byte) []byte { return b[:10] }},
-		{"truncated-mid-block", func(b []byte) []byte { return b[:len(b)/2] }},
-		{"truncated-trailer", func(b []byte) []byte { return b[:len(b)-6] }},
-		{"flipped-byte-mid-record", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[len(c)/2] ^= 0x40
-			return c
-		}},
-		{"flipped-byte-in-header", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[12] ^= 0x01
-			return c
-		}},
-		{"bad-file-crc", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[len(c)-1] ^= 0xFF
-			return c
-		}},
-		{"bad-magic", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[0] = 'X'
-			return c
-		}},
-		{"absurd-length-field", func(b []byte) []byte {
-			// Overwrite the first block's length prefix with a huge
-			// value; the reader must refuse, not allocate gigabytes.
-			c := append([]byte(nil), b...)
-			off := headerSize(t, c)
-			c[off] = 0xFF
-			c[off+1] = 0xFF
-			c[off+2] = 0xFF
-			c[off+3] = 0x7F
-			return c
-		}},
-	}
-	for _, tc := range cases {
+// corruptions are the damaged shapes a crash or bit-rot can actually
+// produce, each applied to a valid snapshot and returning a damaged copy.
+var corruptions = []struct {
+	name   string
+	mutate func([]byte) []byte
+}{
+	{"zero-length", func(b []byte) []byte { return nil }},
+	{"truncated-header", func(b []byte) []byte { return b[:10] }},
+	{"truncated-mid-block", func(b []byte) []byte { return b[:len(b)/2] }},
+	{"truncated-trailer", func(b []byte) []byte { return b[:len(b)-6] }},
+	{"flipped-byte-mid-record", func(b []byte) []byte {
+		c := append([]byte(nil), b...)
+		c[len(c)/2] ^= 0x40
+		return c
+	}},
+	{"flipped-byte-in-header", func(b []byte) []byte {
+		c := append([]byte(nil), b...)
+		c[12] ^= 0x01
+		return c
+	}},
+	{"bad-file-crc", func(b []byte) []byte {
+		c := append([]byte(nil), b...)
+		c[len(c)-1] ^= 0xFF
+		return c
+	}},
+	{"bad-magic", func(b []byte) []byte {
+		c := append([]byte(nil), b...)
+		c[0] = 'X'
+		return c
+	}},
+	{"absurd-length-field", func(b []byte) []byte {
+		// Overwrite the first block's length prefix with a huge
+		// value; the reader must refuse, not allocate gigabytes.
+		c := append([]byte(nil), b...)
+		off := headerSize(c)
+		c[off] = 0xFF
+		c[off+1] = 0xFF
+		c[off+2] = 0xFF
+		c[off+3] = 0x7F
+		return c
+	}},
+}
+
+// TestSnapshotCorruptionMatrix: every damaged shape must be rejected with
+// ErrCorrupt, and none may panic.
+func TestSnapshotCorruptionMatrix(t *testing.T) {
+	dir := t.TempDir()
+	blob := corruptionFixture(t)
+	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(dir, tc.name+".db")
 			if err := os.WriteFile(path, tc.mutate(blob), 0o644); err != nil {
@@ -197,23 +222,65 @@ func TestSnapshotCorruptionMatrix(t *testing.T) {
 			}
 			// Reading directly must error out too (possibly after a
 			// prefix of valid records), and must never panic.
-			if _, _, err := readAll(path); err == nil {
+			if _, _, err := readAll(t, path); err == nil {
 				t.Fatalf("readAll accepted %s", tc.name)
 			}
 		})
 	}
 }
 
-// headerSize computes the byte offset just past the header of an encoded
-// snapshot, by re-parsing the algo length at its fixed position.
-func headerSize(t *testing.T, b []byte) int {
-	t.Helper()
+// headerSize computes the byte offset just past the header of a valid
+// encoded snapshot, by re-parsing the algo length at its fixed position.
+func headerSize(b []byte) int {
 	// magic(8) version(4) flags(4) shards(4) created(8) algoLen(4)
-	if len(b) < 32 {
-		t.Fatalf("blob too short for header")
-	}
 	algoLen := int(uint32(b[28]) | uint32(b[29])<<8 | uint32(b[30])<<16 | uint32(b[31])<<24)
 	return 32 + algoLen + 4 // + header CRC
+}
+
+// FuzzSnapshotDecode: the reader parses untrusted files, so arbitrary bytes
+// must never panic it, every failure must be ErrCorrupt, and every record it
+// returns must respect the length caps. A stream that decodes cleanly must
+// survive a re-encode under the same header record for record.
+func FuzzSnapshotDecode(f *testing.F) {
+	blob := corruptionFixture(f)
+	f.Add(blob)
+	for _, tc := range corruptions {
+		f.Add(tc.mutate(blob))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		recs, h, err := decodeAll(t, b)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Add([]byte(r.key), r.flags, r.expireAt, []byte(r.data)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, h2, err := decodeAll(t, buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded stream does not decode: %v", err)
+		}
+		if h2 != h {
+			t.Fatalf("header changed across re-encode: %+v -> %+v", h, h2)
+		}
+		if len(again) != len(recs) {
+			t.Fatalf("re-encode returned %d records, want %d", len(again), len(recs))
+		}
+		for i := range recs {
+			if again[i] != recs[i] {
+				t.Fatalf("record %d changed across re-encode:\n got %+v\nwant %+v", i, again[i], recs[i])
+			}
+		}
+	})
 }
 
 // TestSnapshotTamperedCountRejected: trailer says N but the stream has
@@ -300,7 +367,7 @@ func TestWriteFileErrorLeavesOldIntact(t *testing.T) {
 		t.Fatalf("old file no longer verifies: %v", err)
 	}
 	writeTestFile(t, path, Header{Algo: "ht-clht-lb", Shards: 1}, []rec{{key: "k2", data: "v2"}})
-	got, _, err := readAll(path)
+	got, _, err := readAll(t, path)
 	if err != nil || len(got) != 1 || got[0].key != "k2" {
 		t.Fatalf("rewrite over stray temp failed: %v %v", got, err)
 	}

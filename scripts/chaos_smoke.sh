@@ -10,8 +10,8 @@
 #      and prints its final stats line on the way down (the "last word" a
 #      chaos harness reads post-mortem).
 #
-# Cluster failover under a node kill is pinned in-process by the
-# internal/cluster tests (TestChaosKillRestartDifferential, TestFailover*).
+# The same hardening is pinned in-process by the internal/server tests
+# (TestPanicIsolation, TestMaxConnsShed, TestShutdownDrain).
 #
 # Usage: scripts/chaos_smoke.sh
 # Environment:

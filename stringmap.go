@@ -192,9 +192,9 @@ func (m *StringMap[V]) GetBytesHashed(h uint64, k []byte) (V, bool) {
 func HashBytes(k []byte) uint64 { return strHash(k) }
 
 // HashString is HashBytes for a string key: the same FNV-1a hash every
-// string-keyed layer (StringMap chains, shard routing, cluster routing)
-// derives its placement from, so a key routes identically whether it arrives
-// as a string or as bytes off the wire.
+// string-keyed layer (StringMap chains, shard routing) derives its placement
+// from, so a key routes identically whether it arrives as a string or as
+// bytes off the wire.
 func HashString(k string) uint64 { return strHash(k) }
 
 // chainUpd carries one updateChain call's mutable state in a single heap
