@@ -4,8 +4,7 @@
 // allocation is deferred waiting — GC work that throttles exactly the
 // multi-core scaling Figures 4–9 measure. These gates pin Search at zero
 // steady-state allocations per operation for every family — linked lists,
-// hash tables, skip lists, and BSTs, with and without SSMEM node recycling
-// — so a regression shows up as a test failure, not as a slow drift in the
+// hash tables, skip lists, and BSTs — so a regression shows up as a test failure, not as a slow drift in the
 // figure benchmarks.
 package ascylib
 
@@ -14,57 +13,43 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ssmem"
 )
 
 // searchGateAlgos: at least one representative per family plus every
-// structure that gained SSMEM recycling in this PR (recycling adds epoch
-// pins to the search path, so it must prove itself allocation-free too).
-var searchGateAlgos = []struct {
-	algo    string
-	recycle bool
-}{
-	// Linked lists (plain and recycling).
-	{"ll-lazy", false},
-	{"ll-lazy", true},
-	{"ll-harris", false},
-	{"ll-harris", true},
-	{"ll-harris-opt", true},
-	{"ll-michael", true},
-	{"ll-pugh", false},
+// entry a served workload or the paper's figures lean on.
+var searchGateAlgos = []string{
+	// Linked lists.
+	"ll-lazy",
+	"ll-harris",
+	"ll-harris-opt",
+	"ll-michael",
+	"ll-pugh",
 	// Hash tables.
-	{"ht-clht-lb", false},
-	{"ht-clht-lf", false},
-	{"ht-urcu", false},
-	{"ht-urcu-ssmem", false}, // recycles natively
-	{"ht-java", false},
-	// Skip lists (plain and recycling).
-	{"sl-fraser", false},
-	{"sl-fraser", true},
-	{"sl-fraser-opt", true},
-	{"sl-pugh", true},
-	{"sl-herlihy", false},
+	"ht-clht-lb",
+	"ht-clht-lf",
+	"ht-urcu",
+	"ht-urcu-ssmem", // recycles its nodes through SSMEM
+	"ht-java",
+	// Skip lists.
+	"sl-fraser",
+	"sl-fraser-opt",
+	"sl-pugh",
+	"sl-herlihy",
 	// BSTs.
-	{"bst-tk", false},
-	{"bst-natarajan", false},
-	{"bst-ellen", false},
-	{"bst-howley", false},
+	"bst-tk",
+	"bst-natarajan",
+	"bst-ellen",
+	"bst-howley",
 }
 
 func TestSearchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are meaningless under race instrumentation")
 	}
-	for _, tc := range searchGateAlgos {
-		name := tc.algo
-		if tc.recycle {
-			name += "/recycle"
-		}
-		t.Run(name, func(t *testing.T) {
-			opts := []core.Option{core.Capacity(128)}
-			if tc.recycle {
-				opts = append(opts, core.RecycleNodes(true))
-			}
-			s, err := core.New(tc.algo, opts...)
+	for _, algo := range searchGateAlgos {
+		t.Run(algo, func(t *testing.T) {
+			s, err := core.New(algo, core.Capacity(128))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,31 +64,34 @@ func TestSearchZeroAlloc(t *testing.T) {
 				sink += v
 				k = k%200 + 1
 			}); avg != 0 {
-				t.Fatalf("%s: Search allocates %.2f/op, want 0", name, avg)
+				t.Fatalf("%s: Search allocates %.2f/op, want 0", algo, avg)
 			}
 			_ = sink
 		})
 	}
 }
 
-// TestSearchZeroAllocStripedPools: the per-P striped pool fast path must
-// keep the recycling search hit at zero allocations even after the pool has
-// been churned from many goroutines — the regime where allocators have been
-// parked across every stripe slot and the sync.Pool has been cleared by GC,
-// so a Get that fell back to adoption (which allocates a lease scan) instead
-// of its stripe slot would show up here as a nonzero allocs/op.
+// TestSearchZeroAllocStripedPools: a search hit must stay at zero
+// allocations after the structure has been churned from many goroutines.
+// For ht-urcu-ssmem this is the per-P striped pool regime — allocators
+// parked across every stripe slot and the sync.Pool cleared by GC — so a Get
+// that fell back to adoption (which allocates a lease scan) instead of its
+// stripe slot would show up here as a nonzero allocs/op. ll-lazy and
+// sl-fraser-opt leave their nodes to the GC, so for them the churn must
+// leave nothing behind that their search path pays for.
 func TestSearchZeroAllocStripedPools(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are meaningless under race instrumentation")
 	}
-	for _, algo := range []string{"ll-lazy", "sl-fraser-opt"} {
+	for _, algo := range []string{"ll-lazy", "sl-fraser-opt", "ht-urcu-ssmem"} {
 		t.Run(algo, func(t *testing.T) {
-			s := core.MustNew(algo, core.Capacity(128), core.RecycleNodes(true))
+			s := core.MustNew(algo, core.Capacity(128))
 			for k := core.Key(1); k <= 128; k++ {
 				s.Insert(k, core.Value(k))
 			}
-			// Churn from many goroutines: registers several allocators with
-			// the structure's pool and scatters them across stripe slots.
+			// Churn from many goroutines: for ht-urcu-ssmem this registers
+			// several allocators with the pool and scatters them across
+			// stripe slots.
 			var wg sync.WaitGroup
 			for w := 0; w < 8; w++ {
 				wg.Add(1)
@@ -130,43 +118,54 @@ func TestSearchZeroAllocStripedPools(t *testing.T) {
 				sink += v
 				k = k%200 + 1
 			}); avg != 0 {
-				t.Fatalf("%s: striped-pool Search allocates %.2f/op, want 0", algo, avg)
+				t.Fatalf("%s: Search after churn allocates %.2f/op, want 0", algo, avg)
 			}
 			_ = sink
 		})
 	}
 }
 
-// TestRemoveInsertSteadyStateRecycling: with SSMEM recycling on, a steady
-// remove/insert churn of one key must stop allocating once the allocator's
-// free list warms up — the structural point of recycling. The lists' links
-// are tagged words, so a cycle allocates nothing but the node, and the node
-// comes back from the free list; the epoch bookkeeping (batch stamping every
-// threshold frees, snapshot slices) amortizes below one allocation a cycle.
+// TestRemoveInsertSteadyStateRecycling: once warmed up, a steady
+// remove/insert churn of one key allocates only what the structure cannot
+// take back. ht-urcu-ssmem recycles its nodes through SSMEM, so the node
+// comes back from the free list and the epoch bookkeeping (batch stamping
+// every threshold frees, snapshot slices) amortizes below one allocation a
+// cycle: 0. The lists leave their nodes to the GC, so each cycle pays for
+// exactly one new node and the warm-up must not have added anything to it.
 func TestRemoveInsertSteadyStateRecycling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are meaningless under race instrumentation")
 	}
-	for _, algo := range []string{"ll-lazy", "ll-michael", "ll-harris", "ll-harris-opt"} {
-		t.Run(algo, func(t *testing.T) {
-			s := core.MustNew(algo, core.RecycleNodes(true), core.RecycleThreshold(16))
+	for _, tc := range []struct {
+		algo string
+		want float64
+	}{
+		{"ll-harris", 1},
+		{"ll-harris-opt", 1},
+		{"ll-lazy", 1},
+		{"ll-michael", 1},
+		{"ht-urcu-ssmem", 0},
+	} {
+		t.Run(tc.algo, func(t *testing.T) {
+			s := core.MustNew(tc.algo, core.Capacity(64))
 			for k := core.Key(1); k <= 64; k++ {
 				s.Insert(k, core.Value(k))
 			}
-			// Warm the free lists.
-			for i := 0; i < 200; i++ {
+			// Warm up: past a few batches of the paper's 512-location
+			// threshold.
+			for i := 0; i < 4*ssmem.DefaultThreshold; i++ {
 				s.Remove(32)
 				s.Insert(32, 32)
 			}
-			if avg := removeInsertAllocs(s, 32); avg != 0 {
-				t.Fatalf("%s: remove+insert cycle allocates %.2f, want 0", algo, avg)
+			if avg := removeInsertAllocs(s, 32); avg != tc.want {
+				t.Fatalf("%s: remove+insert cycle allocates %.2f, want %v", tc.algo, avg, tc.want)
 			}
 		})
 	}
 }
 
-// TestRemoveInsertAllocs: without recycling a remove+insert cycle pays for
-// the new node and nothing else — a CAS swaps a tagged word and allocates
+// TestRemoveInsertAllocs: a GC-owned remove+insert cycle pays for the new
+// node and nothing else — a CAS swaps a tagged word and allocates
 // nothing. A Fraser node is two allocations (node and tower), a list node
 // one, and ht-harris inherits its buckets' cost. A bst-tk insert allocates
 // a leaf and a router; the count cannot see their size, so TestTKNodeLayout

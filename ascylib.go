@@ -128,16 +128,6 @@ func MaxLevel(n int) Option { return core.MaxLevel(n) }
 // default and only the "-no" ablation variants disable it internally.
 func ReadOnlyFail(b bool) Option { return core.ReadOnlyFail(b) }
 
-// RecycleNodes toggles SSMEM node recycling (ASCY4) in the structures that
-// support it — the harris/michael/lazy lists and the fraser/pugh skip
-// lists; ht-urcu-ssmem recycles natively. Off by default. See DESIGN.md
-// "Allocation discipline (ASCY4 in Go)".
-func RecycleNodes(b bool) Option { return core.RecycleNodes(b) }
-
-// RecycleThreshold sets the per-goroutine garbage bound before an SSMEM
-// collection pass (<= 0 uses the paper's default of 512 freed locations).
-func RecycleThreshold(n int) Option { return core.RecycleThreshold(n) }
-
 // New constructs the named algorithm. Names are listed by Algorithms; the
 // headline ones are "ht-clht-lb", "ht-clht-lf", and "bst-tk".
 func New(name string, opts ...Option) (Set, error) { return core.New(name, opts...) }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	ascylib "repro"
+	"repro/internal/settest"
 )
 
 // TestCatalogueMatchesPaper pins the library's inventory to the paper:
@@ -91,5 +92,17 @@ func TestAsyncBoundsFlaggedUnsafe(t *testing.T) {
 		if isAsync == a.Safe {
 			t.Errorf("%s: Safe=%v inconsistent with async status %v", a.Name, a.Safe, isAsync)
 		}
+	}
+}
+
+// TestHeapBound runs the bounded-heap soak over every linearizable entry:
+// under sustained churn on a fixed key range, the live heap must plateau.
+// Subtests run one at a time, because the soak reads the process-wide heap.
+func TestHeapBound(t *testing.T) {
+	for _, a := range ascylib.Algorithms() {
+		if !a.Safe {
+			continue
+		}
+		t.Run(a.Name, func(t *testing.T) { settest.HeapBound(t, a.Name) })
 	}
 }

@@ -105,17 +105,6 @@ type Config struct {
 	// structure (the paper observes these) cannot hang the harness.
 	// 0 means no bound.
 	AsyncStepLimit int
-	// Recycle enables SSMEM node recycling (ASCY4, §3) in the dynamic-node
-	// structures that support it: removed nodes are routed through
-	// per-goroutine epoch allocators and reused once provably unreachable,
-	// instead of being handed to the Go GC. Off by default to keep the
-	// paper-faithful baselines unchanged; structures that recycle expose
-	// their allocator counters through the Recycler interface.
-	Recycle bool
-	// RecycleThreshold is the per-allocator garbage bound before a freed
-	// batch is stamped for collection; <= 0 uses ssmem.DefaultThreshold
-	// (the paper's 512 locations).
-	RecycleThreshold int
 }
 
 // DefaultConfig returns the defaults used throughout the evaluation:
@@ -158,17 +147,11 @@ func MaxLevel(n int) Option { return func(c *Config) { c.MaxLevel = n } }
 // ReadOnlyFail toggles ASCY3 (read-only unsuccessful updates).
 func ReadOnlyFail(b bool) Option { return func(c *Config) { c.ReadOnlyFail = b } }
 
-// RecycleNodes toggles SSMEM node recycling (ASCY4) where supported.
-func RecycleNodes(b bool) Option { return func(c *Config) { c.Recycle = b } }
-
-// RecycleThreshold sets the per-allocator garbage bound before collection.
-func RecycleThreshold(n int) Option { return func(c *Config) { c.RecycleThreshold = n } }
-
-// Recycler is implemented by structures that integrate an SSMEM allocator
-// (natively, like ht-urcu-ssmem, or behind Config.Recycle). RecycleStats
+// Recycler is implemented by structures that recycle their own nodes
+// through an SSMEM allocator; ht-urcu-ssmem is the one such structure, as in
+// the paper. Every other structure's nodes belong to the Go GC. RecycleStats
 // aggregates the allocator counters so the harness and EXPERIMENTS can
-// report node reuse rates; a structure built without recycling returns a
-// zero Stats.
+// report node reuse rates.
 type Recycler interface {
 	RecycleStats() ssmem.Stats
 }
@@ -214,8 +197,8 @@ type Capabilities struct {
 	// of snapshot-and-sort.
 	NativeRange bool
 	// NativeSnapshot: consistent-cut enumeration walks the structure
-	// under a single traversal (one epoch bracket where the family
-	// recycles) instead of the ForEach fallback. See Snapshotter.
+	// under a single traversal instead of the ForEach fallback. See
+	// Snapshotter.
 	NativeSnapshot bool
 }
 

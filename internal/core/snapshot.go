@@ -4,21 +4,18 @@
 // concurrency. ForEach observes each element "at some point during the
 // call"; Snapshot promises a *cut*: one traversal in which every yielded
 // (key, value) pair was simultaneously live at some instant during the
-// call, no key is yielded twice, and — for the ordered families — the walk
-// runs under a single epoch bracket, so no node it touches is recycled
-// mid-traversal. That is exactly the guarantee a persistence layer needs:
-// each record in the snapshot file was a real state of its key inside the
-// snapshot window.
+// call, no key is yielded twice, and — for the ordered families — it is one
+// traversal of the structure itself. That is exactly the guarantee a
+// persistence layer needs: each record in the snapshot file was a real
+// state of its key inside the snapshot window.
 //
 // The ordered families (sorted lists, skip lists, BSTs) get this natively:
-// their Ascend iterators are already single-epoch-bracket walks (lists and
-// skip lists pin the SSMEM domain for the whole traversal; the BSTs are
-// safe concurrent traversals over immutable-key nodes), so OrderedVia —
-// which every one of them embeds — serves Snapshot straight through
-// Ascend. The hash tables fall back to ForEach, which still observes each
-// bucket at one instant; callers that need the stronger per-structure
-// bracket should prefer a natively Snapshotter backend (Caps reports
-// which is which, like Ordered).
+// their Ascend iterators are already single safe concurrent walks over
+// immutable-key, GC-owned nodes, so OrderedVia — which every one of them
+// embeds — serves Snapshot straight through Ascend. The hash tables fall
+// back to ForEach, which still observes each bucket at one instant; callers
+// that need the stronger single-walk cut should prefer a natively
+// Snapshotter backend (Caps reports which is which, like Ordered).
 package core
 
 // Snapshotter is the consistent-cut enumeration interface.
@@ -33,7 +30,7 @@ type Snapshotter interface {
 // iterSnapshotter adapts any Iterable to Snapshotter through the fallback:
 // ForEach already observes each element at one instant and visits each key
 // at most once, which satisfies the cut contract per element — it just
-// lacks the ordered families' whole-walk epoch bracket.
+// lacks the ordered families' single walk.
 type iterSnapshotter struct{ it Iterable }
 
 func (s iterSnapshotter) Snapshot(yield func(Key, Value) bool) { s.it.ForEach(yield) }
@@ -57,7 +54,7 @@ func SnapshotterOf(s Set) (sn Snapshotter, native bool) {
 // Snapshot serves the consistent-cut enumeration over the single Ascend
 // walk. Every ordered structure in the library embeds OrderedVia, so the
 // whole ordered matrix — lists, skip lists, BSTs — gains native Snapshotter
-// here: one iterator pass, one epoch bracket where the family recycles.
+// here: one iterator pass.
 func (o OrderedVia) Snapshot(yield func(Key, Value) bool) { o.Ascend(0, yield) }
 
 // Snapshot on the generic wrapper forwards to the implementation's own cut

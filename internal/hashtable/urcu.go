@@ -37,8 +37,8 @@ type URCU struct {
 	waitGP  bool
 
 	// pool is the SSMEM side (urcu-ssmem only): per-goroutine epoch
-	// allocators over one collector — the pattern ssmem.Pool centralizes
-	// and the Recycle-enabled lists and skip lists reuse.
+	// allocators over one collector, the pattern ssmem.Pool centralizes.
+	// No other structure in the library recycles its nodes.
 	pool *ssmem.Pool[uNode]
 }
 
@@ -59,7 +59,7 @@ func NewURCU(cfg core.Config, waitGP bool) *URCU {
 		waitGP:  waitGP,
 	}
 	if !waitGP {
-		u.pool = ssmem.NewPool[uNode](cfg.RecycleThreshold)
+		u.pool = ssmem.NewPool[uNode](0)
 	}
 	return u
 }

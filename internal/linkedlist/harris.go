@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mark"
 	"repro/internal/perf"
-	"repro/internal/ssmem"
 )
 
 // lfNode is the Harris/Michael node. next holds (successor, marked) as one
@@ -30,34 +29,26 @@ func newLFNode(k core.Key, v core.Value, succ *lfNode) *lfNode {
 // re-engineering (§5): the search performs no stores, no helping, and never
 // restarts — it simply ignores marked nodes — and the update parse does not
 // restart when a cleanup CAS fails. Figure 4 measures the difference.
-//
-// With cfg.Recycle, physically detached nodes are recycled through SSMEM
-// epochs (see recycle.go for the ownership discipline) instead of becoming
-// GC garbage — ASCY4's memory-management half.
 type Harris struct {
 	core.OrderedVia
 	head, tail *lfNode
 	optimized  bool
-	rec        *ssmem.Pool[lfNode]
 }
 
 // NewHarris returns an empty Harris list; optimized selects harris-opt.
 func NewHarris(cfg core.Config, optimized bool) *Harris {
 	tail := newLFNode(tailKey, 0, nil)
 	head := newLFNode(headKey, 0, tail)
-	s := &Harris{head: head, tail: tail, optimized: optimized, rec: newNodePool[lfNode](cfg)}
+	s := &Harris{head: head, tail: tail, optimized: optimized}
 	s.OrderedVia = core.OrderedVia{Ascend: s.ascend}
 	return s
 }
-
-// RecycleStats implements core.Recycler.
-func (l *Harris) RecycleStats() ssmem.Stats { return ssmem.PoolStats(l.rec) }
 
 // search is Harris's search: it returns adjacent (left, right) with
 // left.key < k <= right.key and right unmarked, unlinking any marked span in
 // between. leftRef is the value of left.next that points at right, needed
 // by the callers' CASes.
-func (l *Harris) search(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (left *lfNode, leftRef mark.Ref[lfNode], right *lfNode) {
+func (l *Harris) search(c *perf.Ctx, k core.Key) (left *lfNode, leftRef mark.Ref[lfNode], right *lfNode) {
 searchAgain:
 	for {
 		t := l.head
@@ -93,7 +84,6 @@ searchAgain:
 		if left.next.CompareAndSwap(leftRef, newRef) {
 			c.Inc(perf.EvCAS)
 			c.Inc(perf.EvCleanup)
-			freeLFSpan(a, leftRef.N, right)
 			if right != l.tail && right.next.Load().Marked {
 				c.Inc(perf.EvRestart)
 				continue searchAgain
@@ -128,8 +118,6 @@ func (l *Harris) parseOpt(c *perf.Ctx, k core.Key) (left *lfNode, leftRef mark.R
 
 // SearchCtx implements core.Instrumented.
 func (l *Harris) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	if l.optimized {
 		// ASCY1: traverse ignoring marks; no stores, no retries.
 		curr := l.head.next.Load().N
@@ -142,44 +130,37 @@ func (l *Harris) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		}
 		return 0, false
 	}
-	_, _, right := l.search(a, c, k)
+	_, _, right := l.search(c, k)
 	if right != l.tail && right.key == k {
 		return right.val, true
 	}
 	return 0, false
 }
 
-func (l *Harris) parse(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (left *lfNode, leftRef mark.Ref[lfNode], right *lfNode) {
+func (l *Harris) parse(c *perf.Ctx, k core.Key) (left *lfNode, leftRef mark.Ref[lfNode], right *lfNode) {
 	if l.optimized {
 		return l.parseOpt(c, k)
 	}
-	return l.search(a, c, k)
+	return l.search(c, k)
 }
 
 // InsertCtx implements core.Instrumented.
 func (l *Harris) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	var n *lfNode // allocated once, reused across CAS retries
 	for {
 		c.ParseBegin()
-		left, leftRef, right := l.parse(a, c, k)
+		left, leftRef, right := l.parse(c, k)
 		c.ParseEnd()
 		if right != l.tail && right.key == k {
-			// Lock-free lists fail read-only by nature (ASCY3). A node
-			// allocated on an earlier iteration was never published.
-			ssmem.FreeTo(a, n)
+			// Lock-free lists fail read-only by nature (ASCY3).
 			return false
 		}
 		if n == nil {
-			n = allocLF(a, k, v)
+			n = &lfNode{key: k, val: v}
 		}
 		n.next.Store(mark.Ref[lfNode]{N: right})
 		if left.next.CompareAndSwap(leftRef, mark.Ref[lfNode]{N: n}) {
 			c.Inc(perf.EvCAS)
-			// The CAS also swallowed any marked span the optimized
-			// parse stepped over.
-			freeLFSpan(a, leftRef.N, right)
 			return true
 		}
 		c.Inc(perf.EvCASFail)
@@ -189,11 +170,9 @@ func (l *Harris) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 
 // RemoveCtx implements core.Instrumented.
 func (l *Harris) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	for {
 		c.ParseBegin()
-		left, leftRef, right := l.parse(a, c, k)
+		left, leftRef, right := l.parse(c, k)
 		c.ParseEnd()
 		if right == l.tail || right.key != k {
 			return 0, false
@@ -213,18 +192,15 @@ func (l *Harris) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 			continue
 		}
 		c.Inc(perf.EvCAS)
-		val := right.val // we own the logical delete; read before any free
+		val := right.val
 		// Step 2: physical deletion — best effort; on failure the next
 		// search (or update parse) cleans up.
 		if left.next.CompareAndSwap(leftRef, mark.Ref[lfNode]{N: rRef.N}) {
 			c.Inc(perf.EvCAS)
-			// Detached [leftRef.N .. rRef.N): right plus any marked
-			// span the parse stepped over.
-			freeLFSpan(a, leftRef.N, rRef.N)
 		} else {
 			c.Inc(perf.EvCASFail)
 			if !l.optimized {
-				l.search(a, c, k) // harris: eagerly clean up
+				l.search(c, k) // harris: eagerly clean up
 			}
 		}
 		return val, true
@@ -242,8 +218,6 @@ func (l *Harris) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil,
 
 // Size counts unmarked elements. Quiescent use only.
 func (l *Harris) Size() int {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	n := 0
 	for curr := l.head.next.Load().N; curr != l.tail; {
 		ref := curr.next.Load()

@@ -8,10 +8,7 @@
 // during the call rather than one atomic snapshot.
 package linkedlist
 
-import (
-	"repro/internal/core"
-	"repro/internal/ssmem"
-)
+import "repro/internal/core"
 
 // ascend implements core.AscendFunc over the async list, bounded like every
 // Seq traversal.
@@ -58,12 +55,8 @@ func (l *Pugh) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
 	}
 }
 
-// ascend implements core.AscendFunc, skipping marked nodes. With recycling
-// the traversal pins an epoch for its whole duration (including yield), so
-// no node it can reach is reinitialized underneath it.
+// ascend implements core.AscendFunc, skipping marked nodes.
 func (l *Lazy) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	for curr := l.head.next.Load(); curr.key != tailKey; curr = curr.next.Load() {
 		if curr.key >= lo && !curr.marked.Load() && !yield(curr.key, curr.val) {
 			return
@@ -115,17 +108,12 @@ func lfAscend(head, tail *lfNode, lo core.Key, yield func(core.Key, core.Value) 
 	}
 }
 
-// ascend implements core.AscendFunc (epoch-pinned under recycling, like
-// Lazy's).
+// ascend implements core.AscendFunc.
 func (l *Harris) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	lfAscend(l.head, l.tail, lo, yield)
 }
 
-// ascend implements core.AscendFunc (epoch-pinned under recycling).
+// ascend implements core.AscendFunc.
 func (l *Michael) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	lfAscend(l.head, l.tail, lo, yield)
 }

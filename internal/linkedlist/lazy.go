@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/perf"
-	"repro/internal/ssmem"
 )
 
 // lazyNode: next and marked are read optimistically, so both are atomic;
@@ -24,15 +23,10 @@ type lazyNode struct {
 // locks, while searches traverse without any synchronization and simply
 // check the mark. The search already satisfies ASCY1; with ReadOnlyFail
 // (ASCY3, the library default) unsuccessful updates are read-only too.
-// With cfg.Recycle, the remover — the unique physical unlinker, since it
-// holds both node locks — frees the node through an SSMEM epoch allocator
-// for reuse; searches are epoch-bracketed so a traversal can never observe
-// a node being reinitialized.
 type Lazy struct {
 	core.OrderedVia
 	head         *lazyNode
 	readOnlyFail bool
-	rec          *ssmem.Pool[lazyNode]
 }
 
 // NewLazy returns an empty lazy list.
@@ -40,24 +34,9 @@ func NewLazy(cfg core.Config) *Lazy {
 	tail := &lazyNode{key: tailKey}
 	head := &lazyNode{key: headKey}
 	head.next.Store(tail)
-	s := &Lazy{head: head, readOnlyFail: cfg.ReadOnlyFail, rec: newNodePool[lazyNode](cfg)}
+	s := &Lazy{head: head, readOnlyFail: cfg.ReadOnlyFail}
 	s.OrderedVia = core.OrderedVia{Ascend: s.ascend}
 	return s
-}
-
-// RecycleStats implements core.Recycler.
-func (l *Lazy) RecycleStats() ssmem.Stats { return ssmem.PoolStats(l.rec) }
-
-// allocLazy returns a node with key/val set and the mark clear; recycled
-// nodes are private until published, so plain resets are safe.
-func allocLazy(a *ssmem.Allocator[lazyNode], k core.Key, v core.Value) *lazyNode {
-	if a == nil {
-		return &lazyNode{key: k, val: v}
-	}
-	n := a.Alloc()
-	n.key, n.val = k, v
-	n.marked.Store(false)
-	return n
 }
 
 // parse optimistically walks to the first node with key >= k.
@@ -80,8 +59,6 @@ func validateLazy(pred, curr *lazyNode) bool {
 
 // SearchCtx implements core.Instrumented. Wait-free: no stores, no retries.
 func (l *Lazy) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	curr := l.head
 	for curr.key < k {
 		c.Inc(perf.EvTraverse)
@@ -95,8 +72,6 @@ func (l *Lazy) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 
 // InsertCtx implements core.Instrumented.
 func (l *Lazy) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	for {
 		c.ParseBegin()
 		pred, curr := l.parse(c, k)
@@ -117,7 +92,7 @@ func (l *Lazy) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 			pred.lock.Unlock()
 			return false
 		}
-		n := allocLazy(a, k, v)
+		n := &lazyNode{key: k, val: v}
 		n.next.Store(curr)
 		pred.next.Store(n)
 		c.Inc(perf.EvStore)
@@ -128,8 +103,6 @@ func (l *Lazy) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 
 // RemoveCtx implements core.Instrumented.
 func (l *Lazy) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	for {
 		c.ParseBegin()
 		pred, curr := l.parse(c, k)
@@ -159,10 +132,6 @@ func (l *Lazy) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		val := curr.val
 		curr.lock.Unlock()
 		pred.lock.Unlock()
-		// Holding both locks made us the unique unlinker; the node is
-		// unreachable for new traversals and epoch-protected for ongoing
-		// ones.
-		ssmem.FreeTo(a, curr)
 		return val, true
 	}
 }
@@ -178,8 +147,6 @@ func (l *Lazy) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil, k
 
 // Size counts unmarked elements. Quiescent use only.
 func (l *Lazy) Size() int {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	n := 0
 	for curr := l.head.next.Load(); curr.key != tailKey; curr = curr.next.Load() {
 		if !curr.marked.Load() {

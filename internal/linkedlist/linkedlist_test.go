@@ -306,15 +306,13 @@ func TestMichaelSearchUnlinksMarked(t *testing.T) {
 	}
 }
 
-// TestRecycleChurnRegression: the lock-free lists CAS tagged words by value,
-// which is ABA-safe only because no operation holds a node address outside
-// its epoch bracket. With RecycleThreshold(1) a freed node is handed out
-// again almost at once, so a CAS outside a bracket would soon hit a reused
-// node. Churn a tiny key range hard, then audit presence against Search and
-// the list order.
-func TestRecycleChurnRegression(t *testing.T) {
+// TestTinyRangeChurnRegression: the lock-free lists CAS tagged words by
+// value, which is ABA-safe because the GC never reuses an address some
+// goroutine still holds. Churn a tiny key range hard with many workers, so
+// every CAS races marks and unlinks on the same few nodes, then audit
+// presence against Search and the list order.
+func TestTinyRangeChurnRegression(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.Recycle, cfg.RecycleThreshold = true, 1
 	for _, tc := range []struct {
 		name string
 		mk   func() (s core.Set, head, tail *lfNode)
@@ -334,9 +332,6 @@ func TestRecycleChurnRegression(t *testing.T) {
 						n = r.N
 					}
 				})
-				if st := s.(core.Recycler).RecycleStats(); st.Frees > st.Allocs {
-					t.Fatalf("more frees than allocations (double free): %+v", st)
-				}
 			}
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mark"
 	"repro/internal/perf"
-	"repro/internal/ssmem"
 )
 
 // Michael is Michael's (SPAA '02) refactoring of the Harris list (Table 1),
@@ -12,33 +11,24 @@ import (
 // spans, the traversal unlinks logically deleted nodes one at a time, and
 // restarts from the head whenever a CAS fails or an inconsistency is
 // observed. It shares lfNode and its tagged next link with Harris.
-//
-// The one-node-at-a-time unlink is exactly what makes Michael's list the
-// natural fit for SSMEM recycling (its original purpose): with cfg.Recycle,
-// the thread whose CAS detaches a node frees it through the epoch
-// allocator, and no span walking is ever needed.
 type Michael struct {
 	core.OrderedVia
 	head, tail *lfNode
-	rec        *ssmem.Pool[lfNode]
 }
 
 // NewMichael returns an empty Michael list.
 func NewMichael(cfg core.Config) *Michael {
 	tail := newLFNode(tailKey, 0, nil)
 	head := newLFNode(headKey, 0, tail)
-	s := &Michael{head: head, tail: tail, rec: newNodePool[lfNode](cfg)}
+	s := &Michael{head: head, tail: tail}
 	s.OrderedVia = core.OrderedVia{Ascend: s.ascend}
 	return s
 }
 
-// RecycleStats implements core.Recycler.
-func (l *Michael) RecycleStats() ssmem.Stats { return ssmem.PoolStats(l.rec) }
-
 // find positions (prev, prevRef, curr) with prev.key < k <= curr.key, curr
 // unmarked, unlinking each marked node it encounters. Restarts from the head
 // when an unlink CAS fails.
-func (l *Michael) find(a *ssmem.Allocator[lfNode], c *perf.Ctx, k core.Key) (prev *lfNode, prevRef mark.Ref[lfNode], curr *lfNode) {
+func (l *Michael) find(c *perf.Ctx, k core.Key) (prev *lfNode, prevRef mark.Ref[lfNode], curr *lfNode) {
 tryAgain:
 	for {
 		prev = l.head
@@ -57,7 +47,6 @@ tryAgain:
 				}
 				c.Inc(perf.EvCAS)
 				c.Inc(perf.EvCleanup)
-				ssmem.FreeTo(a, curr) // our CAS detached it
 				prevRef = newRef
 				curr = currRef.N
 				continue
@@ -78,9 +67,7 @@ tryAgain:
 // the search path helps unlink and may restart — the ASCY1 violation that
 // harris-opt removes.
 func (l *Michael) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
-	_, _, curr := l.find(a, c, k)
+	_, _, curr := l.find(c, k)
 	if curr != l.tail && curr.key == k {
 		return curr.val, true
 	}
@@ -89,19 +76,16 @@ func (l *Michael) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 
 // InsertCtx implements core.Instrumented.
 func (l *Michael) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	var n *lfNode // allocated once, reused across CAS retries
 	for {
 		c.ParseBegin()
-		prev, prevRef, curr := l.find(a, c, k)
+		prev, prevRef, curr := l.find(c, k)
 		c.ParseEnd()
 		if curr != l.tail && curr.key == k {
-			ssmem.FreeTo(a, n) // never published
 			return false
 		}
 		if n == nil {
-			n = allocLF(a, k, v)
+			n = &lfNode{key: k, val: v}
 		}
 		n.next.Store(mark.Ref[lfNode]{N: curr})
 		if prev.next.CompareAndSwap(prevRef, mark.Ref[lfNode]{N: n}) {
@@ -115,11 +99,9 @@ func (l *Michael) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 
 // RemoveCtx implements core.Instrumented.
 func (l *Michael) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	for {
 		c.ParseBegin()
-		prev, prevRef, curr := l.find(a, c, k)
+		prev, prevRef, curr := l.find(c, k)
 		c.ParseEnd()
 		if curr == l.tail || curr.key != k {
 			return 0, false
@@ -135,13 +117,12 @@ func (l *Michael) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 			continue
 		}
 		c.Inc(perf.EvCAS)
-		val := curr.val // we own the logical delete; read before any free
+		val := curr.val
 		if prev.next.CompareAndSwap(prevRef, mark.Ref[lfNode]{N: currRef.N}) {
 			c.Inc(perf.EvCAS)
-			ssmem.FreeTo(a, curr) // our CAS detached it
 		} else {
 			c.Inc(perf.EvCASFail)
-			l.find(a, c, k) // delegate cleanup (and the free) to a fresh traversal
+			l.find(c, k) // delegate cleanup to a fresh traversal
 		}
 		return val, true
 	}
@@ -158,8 +139,6 @@ func (l *Michael) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil
 
 // Size counts unmarked elements. Quiescent use only.
 func (l *Michael) Size() int {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	n := 0
 	for curr := l.head.next.Load().N; curr != l.tail; {
 		ref := curr.next.Load()

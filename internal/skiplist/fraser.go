@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mark"
 	"repro/internal/perf"
-	"repro/internal/ssmem"
 )
 
 // fNode is a Fraser tower. next[lvl] holds (successor, marked) for one level
@@ -29,16 +28,13 @@ func newFNode(k core.Key, v core.Value, h int) *fNode {
 // With optimized == true this is fraser-opt (§5, based on the wait-free-
 // contains idea of Herlihy/Lev/Shavit): searches and parses skip over marked
 // nodes with plain reads, never CAS, and never restart; physical cleanup is
-// deferred to the update CASes, which naturally swallow marked spans.
-// With cfg.Recycle, height-1 nodes are recycled through SSMEM epochs by the
-// thread whose level-0 CAS detaches them (see recycle.go for why recycling
-// is height-1-only).
+// deferred to the update CASes, which naturally swallow marked spans, and
+// to one best-effort unlink per level by the remover.
 type Fraser struct {
 	core.OrderedVia
 	head, tail *fNode
 	maxLevel   int
 	optimized  bool
-	rec        *ssmem.Pool[fNode]
 }
 
 // NewFraser returns an empty Fraser skip list; optimized selects fraser-opt.
@@ -49,19 +45,16 @@ func NewFraser(cfg core.Config, optimized bool) *Fraser {
 	for i := 0; i < ml; i++ {
 		head.next[i].Store(mark.Ref[fNode]{N: tail})
 	}
-	s := &Fraser{head: head, tail: tail, maxLevel: ml, optimized: optimized, rec: newNodePool[fNode](cfg)}
+	s := &Fraser{head: head, tail: tail, maxLevel: ml, optimized: optimized}
 	s.OrderedVia = core.OrderedVia{Ascend: s.ascend}
 	return s
 }
-
-// RecycleStats implements core.Recycler.
-func (l *Fraser) RecycleStats() ssmem.Stats { return ssmem.PoolStats(l.rec) }
 
 // search is Fraser's original search: positions preds/succs at every level,
 // unlinking marked nodes on the way; restarts from the top on any conflict.
 // refs[lvl] receives the value of preds[lvl].next[lvl] that points at
 // succs[lvl], as needed by the callers' CASes.
-func (l *Fraser) search(a *ssmem.Allocator[fNode], c *perf.Ctx, k core.Key, preds, succs []*fNode, refs []mark.Ref[fNode]) {
+func (l *Fraser) search(c *perf.Ctx, k core.Key, preds, succs []*fNode, refs []mark.Ref[fNode]) {
 retry:
 	for {
 		pred := l.head
@@ -87,10 +80,6 @@ retry:
 					}
 					c.Inc(perf.EvCAS)
 					c.Inc(perf.EvCleanup)
-					if lvl == 0 {
-						// Our CAS detached curr at its only level.
-						freeF1(a, curr)
-					}
 					predRef = nr
 					curr = cRef.N
 					cRef = curr.next[lvl].Load()
@@ -142,18 +131,16 @@ func (l *Fraser) parseOpt(c *perf.Ctx, k core.Key, preds, succs []*fNode, refs [
 	}
 }
 
-func (l *Fraser) parse(a *ssmem.Allocator[fNode], c *perf.Ctx, k core.Key, preds, succs []*fNode, refs []mark.Ref[fNode]) {
+func (l *Fraser) parse(c *perf.Ctx, k core.Key, preds, succs []*fNode, refs []mark.Ref[fNode]) {
 	if l.optimized {
 		l.parseOpt(c, k, preds, succs, refs)
 	} else {
-		l.search(a, c, k, preds, succs, refs)
+		l.search(c, k, preds, succs, refs)
 	}
 }
 
 // SearchCtx implements core.Instrumented.
 func (l *Fraser) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	if l.optimized {
 		// ASCY1: pure traversal.
 		pred := l.head
@@ -186,7 +173,7 @@ func (l *Fraser) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 	}
 	var preds, succs [maxHeight]*fNode
 	var refs [maxHeight]mark.Ref[fNode]
-	l.search(a, c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
+	l.search(c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
 	if s := succs[0]; s != l.tail && s.key == k {
 		return s.val, true
 	}
@@ -195,18 +182,15 @@ func (l *Fraser) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 
 // InsertCtx implements core.Instrumented.
 func (l *Fraser) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	var preds, succs [maxHeight]*fNode
 	var refs [maxHeight]mark.Ref[fNode]
 	h := randomLevel(l.maxLevel)
 	var node *fNode // allocated once, reused across CAS retries
 	for {
 		c.ParseBegin()
-		l.parse(a, c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
+		l.parse(c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
 		c.ParseEnd()
 		if s := succs[0]; s != l.tail && s.key == k {
-			freeF1(a, node) // allocated on an earlier retry, never published
 			return false
 		}
 		// The optimistic parse may hand back a ref read from a
@@ -221,7 +205,7 @@ func (l *Fraser) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 			continue
 		}
 		if node == nil {
-			node = allocF(a, k, v, h)
+			node = newFNode(k, v, h)
 		}
 		for lvl := 0; lvl < h; lvl++ {
 			node.next[lvl].Store(mark.Ref[fNode]{N: succs[lvl]})
@@ -233,9 +217,6 @@ func (l *Fraser) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 			continue
 		}
 		c.Inc(perf.EvCAS)
-		// The CAS also swallowed the marked level-0 span the optimized
-		// parse stepped over; free its height-1 members.
-		freeF0Span(a, refs[0].N, succs[0])
 		// Link the upper levels; conflicts refresh via a (cleaning)
 		// search, as in Fraser's original.
 		for lvl := 1; lvl < h; lvl++ {
@@ -252,7 +233,7 @@ func (l *Fraser) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 					break
 				}
 				c.Inc(perf.EvCASFail)
-				l.search(a, c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
+				l.search(c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
 				if succs[0] != node {
 					return true // unlinked already; stop building
 				}
@@ -270,12 +251,10 @@ func (l *Fraser) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 
 // RemoveCtx implements core.Instrumented.
 func (l *Fraser) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	var preds, succs [maxHeight]*fNode
 	var refs [maxHeight]mark.Ref[fNode]
 	c.ParseBegin()
-	l.parse(a, c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
+	l.parse(c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
 	c.ParseEnd()
 	node := succs[0]
 	if node == l.tail || node.key != k {
@@ -306,23 +285,27 @@ func (l *Fraser) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 		}
 		c.Inc(perf.EvCASFail)
 	}
-	val := node.val // we won the level-0 mark; read before any free
+	val := node.val
 	if l.optimized {
-		// Single best-effort unlink; otherwise future update CASes
-		// swallow the marked span. Never CAS a marked ref: that would
-		// resurrect a dead predecessor's next pointer.
-		target := node.next[0].Load().N // frozen by the mark
-		if !refs[0].Marked && preds[0].next[0].CompareAndSwap(refs[0], mark.Ref[fNode]{N: target}) {
-			c.Inc(perf.EvCAS)
-			c.Inc(perf.EvCleanup)
-			// Detached [refs[0].N .. target): node plus any marked
-			// span the parse stepped over.
-			freeF0Span(a, refs[0].N, target)
+		// One best-effort unlink per level the parse found node at;
+		// otherwise future update CASes swallow the marked span. A
+		// tower left linked above level 0 would keep, through its
+		// frozen links, whole chains of dead nodes reachable. Never
+		// CAS a marked ref: that would resurrect a dead predecessor's
+		// next pointer.
+		for lvl := 0; lvl < len(node.next); lvl++ {
+			if succs[lvl] != node || refs[lvl].Marked {
+				continue
+			}
+			target := node.next[lvl].Load().N // frozen by the mark
+			if preds[lvl].next[lvl].CompareAndSwap(refs[lvl], mark.Ref[fNode]{N: target}) {
+				c.Inc(perf.EvCAS)
+				c.Inc(perf.EvCleanup)
+			}
 		}
 	} else {
-		// Fraser: eager cleanup via a fresh search (which frees what
-		// its CASes detach).
-		l.search(a, c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
+		// Fraser: eager cleanup via a fresh search.
+		l.search(c, k, preds[:l.maxLevel], succs[:l.maxLevel], refs[:l.maxLevel])
 	}
 	return val, true
 }
@@ -338,8 +321,6 @@ func (l *Fraser) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil,
 
 // Size counts unmarked elements at level 0. Quiescent use only.
 func (l *Fraser) Size() int {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	n := 0
 	for curr := l.head.next[0].Load().N; curr != l.tail; {
 		ref := curr.next[0].Load()

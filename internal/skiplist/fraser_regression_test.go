@@ -20,16 +20,14 @@ func TestFraserOptChurnRegression(t *testing.T) {
 	}
 }
 
-// TestRecycleChurnRegression: Fraser's CASes compare tagged words by value,
-// which is ABA-safe only because no operation holds a node address outside
-// its epoch bracket. With RecycleThreshold(1) a freed height-1 node is
-// handed out again almost at once, so a CAS outside a bracket would soon hit
-// a reused node. Churn a tiny key range hard, then audit presence against
-// Search and the level-0 order.
-func TestRecycleChurnRegression(t *testing.T) {
+// TestTinyRangeChurnRegression: Fraser's CASes compare tagged words by
+// value, which is ABA-safe because the GC never reuses an address some
+// goroutine still holds. Churn a tiny key range hard with many workers, so
+// every CAS races marks and unlinks on the same few towers, then audit
+// presence against Search and the level-0 order.
+func TestTinyRangeChurnRegression(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.MaxLevel = 4
-	cfg.Recycle, cfg.RecycleThreshold = true, 1
 	for _, opt := range []bool{false, true} {
 		name := "fraser"
 		if opt {
@@ -40,9 +38,6 @@ func TestRecycleChurnRegression(t *testing.T) {
 				l := NewFraser(cfg, opt)
 				present := settest.Churn(t, l, 8, 6, 3000, int64(round*100))
 				settest.AuditOrder(t, present, l.walkLevel0)
-				if st := l.RecycleStats(); st.Frees > st.Allocs {
-					t.Fatalf("more frees than allocations (double free): %+v", st)
-				}
 			}
 		})
 	}

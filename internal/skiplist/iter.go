@@ -7,10 +7,7 @@
 // atomic snapshot.
 package skiplist
 
-import (
-	"repro/internal/core"
-	"repro/internal/ssmem"
-)
+import "repro/internal/core"
 
 // ascend implements core.AscendFunc over the async list, bounded like every
 // Seq traversal.
@@ -36,7 +33,6 @@ func (l *Seq) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
 }
 
 // ascend implements core.AscendFunc, skipping logically deleted nodes.
-// Epoch-pinned for the whole scan under recycling, like the searches.
 //
 // The descent must never rest pred on a deleted node (here and in the
 // Herlihy and Fraser descents below): a logically deleted node stays
@@ -46,8 +42,6 @@ func (l *Seq) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
 // resuming from a dead pred would skip them. Deleted nodes are stepped
 // over without moving pred, exactly like the searches' parse walks.
 func (l *Pugh) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	pred := l.head
 	for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
 		for curr := pred.next[lvl].Load(); curr != nil && curr.key < lo; curr = pred.next[lvl].Load() {
@@ -84,7 +78,7 @@ func (l *Herlihy) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
 }
 
 // ascend implements core.AscendFunc over the tagged (successor, marked)
-// links, as in the searches. Epoch-pinned under recycling.
+// links, as in the searches.
 // The descent steps over marked nodes via their frozen pointers without
 // resting pred on them, exactly like parseOpt: a marked node stays
 // physically linked until some later CAS swallows it, but its own next
@@ -96,8 +90,6 @@ func (l *Herlihy) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
 // still reachable from a live level-0 predecessor has not been bypassed
 // by any insert, so its frozen next skips no live element.
 func (l *Fraser) ascend(lo core.Key, yield func(core.Key, core.Value) bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	pred := l.head
 	for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
 		curr := pred.next[lvl].Load().N

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/perf"
-	"repro/internal/ssmem"
 )
 
 // pNode is a Pugh skip-list node: one lock guards the node's forward
@@ -25,17 +24,11 @@ type pNode struct {
 // decided at level 0, so partially linked towers are benign. The parse does
 // no stores and never restarts (ASCY2); failed updates are read-only
 // (ASCY3, with ReadOnlyFail).
-// With cfg.Recycle, height-1 nodes are recycled through SSMEM epochs: the
-// remover is their unique level-0 unlinker (it holds the predecessor's
-// lock, and a deleted node is only ever deleted-and-linked at level 0 while
-// that same lock is held), so it frees them after the unlink. Taller towers
-// stay GC-backed (see recycle.go).
 type Pugh struct {
 	core.OrderedVia
 	head         *pNode
 	maxLevel     int
 	readOnlyFail bool
-	rec          *ssmem.Pool[pNode]
 }
 
 // NewPugh returns an empty Pugh skip list.
@@ -46,13 +39,10 @@ func NewPugh(cfg core.Config) *Pugh {
 	for i := range head.next {
 		head.next[i].Store(tail)
 	}
-	s := &Pugh{head: head, maxLevel: ml, readOnlyFail: cfg.ReadOnlyFail, rec: newNodePool[pNode](cfg)}
+	s := &Pugh{head: head, maxLevel: ml, readOnlyFail: cfg.ReadOnlyFail}
 	s.OrderedVia = core.OrderedVia{Ascend: s.ascend}
 	return s
 }
-
-// RecycleStats implements core.Recycler.
-func (l *Pugh) RecycleStats() ssmem.Stats { return ssmem.PoolStats(l.rec) }
 
 func newPNode(k core.Key, v core.Value, h int) *pNode {
 	return &pNode{key: k, val: v, next: make([]atomic.Pointer[pNode], h)}
@@ -131,8 +121,6 @@ func (l *Pugh) getLock(c *perf.Ctx, start *pNode, k core.Key, lvl int) *pNode {
 // descent adopts only live predecessors (see parse) so that a stale frozen
 // pointer can never hide a live key from a quiescent search.
 func (l *Pugh) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	pred := l.head
 	for lvl := l.maxLevel - 1; lvl >= 0; lvl-- {
 		curr := pred.next[lvl].Load()
@@ -155,8 +143,6 @@ func (l *Pugh) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 
 // InsertCtx implements core.Instrumented.
 func (l *Pugh) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	var preds, succs [maxHeight]*pNode
 	h := randomLevel(l.maxLevel)
 	var node *pNode // allocated once, reused across parse restarts
@@ -165,11 +151,10 @@ func (l *Pugh) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 		cand := l.parse(c, k, preds[:l.maxLevel], succs[:l.maxLevel])
 		c.ParseEnd()
 		if l.readOnlyFail && cand.key == k && !cand.deleted.Load() {
-			freeP1(a, node) // allocated on an earlier retry, never published
-			return false    // ASCY3
+			return false // ASCY3
 		}
 		if node == nil {
-			node = allocP(a, k, v, h)
+			node = newPNode(k, v, h)
 		}
 		// Level 0 decides membership.
 		pred := l.getLock(c, preds[0], k, 0)
@@ -180,7 +165,6 @@ func (l *Pugh) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 		succ := pred.next[0].Load()
 		if succ.key == k {
 			pred.lock.Unlock()
-			freeP1(a, node) // never published
 			return false
 		}
 		node.next[0].Store(succ)
@@ -215,8 +199,6 @@ func (l *Pugh) InsertCtx(c *perf.Ctx, k core.Key, v core.Value) bool {
 
 // RemoveCtx implements core.Instrumented.
 func (l *Pugh) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	var preds, succs [maxHeight]*pNode
 	for {
 		c.ParseBegin()
@@ -262,9 +244,6 @@ func (l *Pugh) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 			c.Inc(perf.EvStore)
 			p.lock.Unlock()
 		}
-		// A height-1 node was linked at level 0 only; our unlink above
-		// fully detached it.
-		freeP1(a, node)
 		return val, true
 	}
 }
@@ -334,8 +313,6 @@ func (l *Pugh) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil, k
 
 // Size counts live elements at level 0. Quiescent use only.
 func (l *Pugh) Size() int {
-	a := ssmem.Pin(l.rec)
-	defer ssmem.Unpin(l.rec, a)
 	n := 0
 	for curr := l.head.next[0].Load(); curr.key != tailKey; curr = curr.next[0].Load() {
 		if !curr.deleted.Load() {

@@ -385,45 +385,6 @@ func (p *Pool[T]) Stats() Stats {
 	return s
 }
 
-// Pin leases an allocator from p and opens its epoch bracket; nil-safe (a
-// nil pool — recycling off — yields a nil allocator, and every helper
-// below treats nil as a no-op). This is the one-liner every recycling
-// structure opens its operations with.
-func Pin[T any](p *Pool[T]) *Allocator[T] {
-	if p == nil {
-		return nil
-	}
-	a := p.Get()
-	a.OpStart()
-	return a
-}
-
-// Unpin closes the bracket opened by Pin and returns the allocator.
-func Unpin[T any](p *Pool[T], a *Allocator[T]) {
-	if a == nil {
-		return
-	}
-	a.OpEnd()
-	p.Put(a)
-}
-
-// FreeTo frees n through a; nil-safe in both arguments (no allocator means
-// the Go GC owns the node).
-func FreeTo[T any](a *Allocator[T], n *T) {
-	if a != nil && n != nil {
-		a.Free(n)
-	}
-}
-
-// PoolStats returns p's aggregate counters, zero for a nil pool — the
-// nil-safe form behind the structures' RecycleStats methods.
-func PoolStats[T any](p *Pool[T]) Stats {
-	if p == nil {
-		return Stats{}
-	}
-	return p.Stats()
-}
-
 // --- BufPool: epoch-recycled byte blocks --------------------------------
 
 // Buffer size classes: powers of two from minBufClass to maxBufClass bytes.

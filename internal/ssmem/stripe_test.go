@@ -57,10 +57,12 @@ func TestStripedPoolConcurrentChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				a := Pin(p)
+				a := p.Get()
+				a.OpStart()
 				o := a.Alloc()
-				FreeTo(a, o)
-				Unpin(p, a)
+				a.Free(o)
+				a.OpEnd()
+				p.Put(a)
 
 				ba := bp.Get()
 				ba.OpStart()
@@ -100,10 +102,12 @@ func TestStripedPoolReuseBalance(t *testing.T) {
 	p := NewPool[obj](8)
 	const rounds = 2000
 	for i := 0; i < rounds; i++ {
-		a := Pin(p)
+		a := p.Get()
+		a.OpStart()
 		o := a.Alloc()
-		FreeTo(a, o)
-		Unpin(p, a)
+		a.Free(o)
+		a.OpEnd()
+		p.Put(a)
 	}
 	s := p.Stats()
 	if rate := s.ReuseRate(); rate < 0.5 {

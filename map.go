@@ -316,8 +316,8 @@ func (m *Map[K, V]) Snapshot(yield func(K, V) bool) bool {
 func (m *Map[K, V]) NativeOrder() bool { return m.native }
 
 // RecycleStats returns the backing structure's SSMEM allocator counters, and
-// a zero Stats when the structure was built without recycling (or does not
-// support it).
+// a zero Stats for every structure but ht-urcu-ssmem, whose nodes are the
+// only ones not owned by the Go GC.
 func (m *Map[K, V]) RecycleStats() ssmem.Stats {
 	if r, ok := m.raw.(core.Recycler); ok {
 		return r.RecycleStats()

@@ -151,10 +151,9 @@ func TestShardedStringMapGetBytesZeroAlloc(t *testing.T) {
 }
 
 // TestShardedRecycleStatsAggregate: the facade-level RecycleStats must sum
-// shard domains (and stay zero without recycling).
+// shard domains of a recycling backend (and stay zero for a GC-owned one).
 func TestShardedRecycleStatsAggregate(t *testing.T) {
-	m := MustNewShardedStringMap[int]("ll-lazy", 4, Capacity(64),
-		RecycleNodes(true), RecycleThreshold(8))
+	m := MustNewShardedStringMap[int]("ht-urcu-ssmem", 4, Capacity(64))
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("k%d", i)
 		m.Put(k, i)
@@ -167,6 +166,6 @@ func TestShardedRecycleStatsAggregate(t *testing.T) {
 	plain.Put("a", 1)
 	plain.Delete("a")
 	if st := plain.RecycleStats(); st.Allocs != 0 {
-		t.Fatalf("recycling off but stats nonzero: %+v", st)
+		t.Fatalf("GC-owned backend but stats nonzero: %+v", st)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // independent StringMap instances — the sharding layer the server runs on,
 // and the library's one in-process router (S = 1 is the unsharded case).
 // Every shard is a complete StringMap with its own backing structure, its
-// own value arena, and (with RecycleNodes) its own SSMEM recycling domain,
+// own value arena, and (for ht-urcu-ssmem) its own SSMEM recycling domain,
 // so shards share no synchronization whatsoever. The point, per the paper's
 // Figure 2 story: hash tables scale because they are already sharded; this
 // applies the same decomposition one level up, so the list, skip-list, and
@@ -341,7 +341,7 @@ func (s *ShardedStringMap[V]) ForEach(yield func(k string, v V) bool) {
 }
 
 // RecycleStats sums the SSMEM allocator counters of every shard's backing
-// structure (zero without recycling).
+// structure (zero unless it is ht-urcu-ssmem).
 func (s *ShardedStringMap[V]) RecycleStats() ssmem.Stats {
 	var agg ssmem.Stats
 	for _, m := range s.shards {

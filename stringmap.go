@@ -422,5 +422,5 @@ func (m *StringMap[V]) Snapshot(yield func(k string, v V) bool) bool {
 }
 
 // RecycleStats returns the backing structure's SSMEM allocator counters
-// (zero without recycling); see Map.RecycleStats.
+// (zero unless it is ht-urcu-ssmem); see Map.RecycleStats.
 func (m *StringMap[V]) RecycleStats() ssmem.Stats { return m.m.RecycleStats() }
