@@ -206,3 +206,26 @@ func removeInsertAllocs(s core.Set, k core.Key) float64 {
 		s.Insert(k, core.Value(k))
 	})
 }
+
+// TestMapOverwriteAllocGate: overwriting a present key of a boxed-value Map
+// publishes one fresh immutable box through the entry's slot and touches
+// nothing else, so it allocates exactly the box.
+func TestMapOverwriteAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are meaningless under race instrumentation")
+	}
+	for _, algo := range []string{"ht-clht-lb", "sl-fraser-opt"} {
+		t.Run(algo, func(t *testing.T) {
+			m := MustNewMap[int, string](algo, Capacity(64))
+			for k := 0; k < 64; k++ {
+				m.Put(k, "v")
+			}
+			if avg := testing.AllocsPerRun(400, func() { m.Put(33, "w") }); avg != 1 {
+				t.Fatalf("%s: Map.Put overwrite allocates %.2f/op, want 1", algo, avg)
+			}
+			if v, ok := m.Get(33); !ok || v != "w" {
+				t.Fatalf("Get(33) = (%q, %v) after the overwrites", v, ok)
+			}
+		})
+	}
+}

@@ -3,12 +3,13 @@
 // backbone of key-value stores such as RocksDB").
 //
 // Built on the typed facade ascylib.Map[uint64, []byte]: string keys are
-// hashed to 64-bit map keys, and arbitrary []byte payloads ride on the
-// library's 64-bit values through the facade's built-in value arena — the
-// hand-rolled slot arena this example used to carry is gone. A write-heavy
-// ingest phase is followed by a read-mostly serving phase, mirroring an LSM
-// memtable's life cycle, and the flush uses the v2 Range surface to drain
-// the memtable in key order like a real memtable-to-SSTable flush.
+// hashed to 64-bit map keys, and arbitrary []byte payloads are boxed by the
+// facade, which keeps one slot per entry and points the library's 64-bit
+// value at it — the hand-rolled slot arena this example used to carry is
+// gone. A write-heavy ingest phase is followed by a read-mostly serving
+// phase, mirroring an LSM memtable's life cycle, and the flush uses the v2
+// Range surface to drain the memtable in key order like a real
+// memtable-to-SSTable flush.
 //
 // Run with: go run ./examples/kvstore
 package main

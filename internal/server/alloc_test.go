@@ -479,3 +479,53 @@ func TestServerScanPathAllocGate(t *testing.T) {
 		})
 	}
 }
+
+// TestStoreOverwriteAllocGate: a Store.Set of a key that is already present
+// allocates exactly one object — the entry's fresh chain node, published
+// copy-on-write through its slot — on the hash headliner and on the ordered
+// scan backend; the value block comes back from the shard's pool. A
+// Store.Get hit allocates nothing.
+func TestStoreOverwriteAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops Puts at random, so Pin() itself allocates")
+	}
+	for _, tc := range []struct {
+		algo    string
+		ordered bool
+	}{
+		{"ht-clht-lb", false},
+		{"sl-fraser-opt", true},
+	} {
+		t.Run(tc.algo, func(t *testing.T) {
+			st, err := NewStore(tc.algo, 0, true, 1, tc.ordered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := st.Pin()
+			for i := 0; i < 64; i++ {
+				st.Set(p, []byte(fmt.Sprintf("key-%02d", i)), 0, 0, []byte("value"))
+			}
+			p.Unpin()
+			key, val := []byte("key-33"), []byte("fresh")
+			set := func() {
+				p := st.Pin()
+				st.Set(p, key, 7, 0, val)
+				p.Unpin()
+			}
+			for i := 0; i < 64; i++ {
+				set() // prime the value pool
+			}
+			if avg := testing.AllocsPerRun(512, set); avg != 1 {
+				t.Fatalf("Store.Set of a present key allocates %.2f/op, want 1", avg)
+			}
+			var hit bool
+			if avg := testing.AllocsPerRun(512, func() {
+				p := st.Pin()
+				_, hit = st.Get(p, key)
+				p.Unpin()
+			}); avg != 0 || !hit {
+				t.Fatalf("Store.Get hit allocates %.2f/op (hit %v), want 0", avg, hit)
+			}
+		})
+	}
+}

@@ -191,10 +191,10 @@ func TestStoreShardedValuePools(t *testing.T) {
 
 // TestStoreReapSurvivesPanic is the regression test for the stuck-reaper
 // bug: reapDead used to clear the per-store reaping flag without defer, so
-// any panic on the reap path (the value arena's exhaustion panic surfaces
-// through UpdateBytes; here an injected clock stands in for it) left the
-// flag true forever and silently disabled expired-item reaping. With the
-// deferred clear, a reap that panics must leave the reaper usable.
+// any panic on the reap path (the facade's slot-table exhaustion panic
+// surfaces through UpdateBytes; here an injected clock stands in for it)
+// left the flag true forever and silently disabled expired-item reaping.
+// With the deferred clear, a reap that panics must leave the reaper usable.
 func TestStoreReapSurvivesPanic(t *testing.T) {
 	st, err := NewStore("ht-clht-lb", 64, true, 2, false)
 	if err != nil {

@@ -55,9 +55,10 @@ const (
 // Store provides memcached item semantics — flags, unique CAS tokens, lazy
 // expiry, and atomic arithmetic — over any registered algorithm, through
 // ascylib.ShardedStringMap. Every mutation is a single UpdateBytes, so the
-// store's atomicity is exactly the facade's: in-place and atomic against
-// everything on structures with native Update (CLHT-LB), serialized against
-// other mutations elsewhere. Keys arrive as []byte straight from the wire
+// store's atomicity is exactly the facade's: on every structure a mutation
+// is atomic against every other and against reads, and overwriting an item
+// publishes a new chain through the key's slot without ever making the key
+// briefly absent. Keys arrive as []byte straight from the wire
 // and are materialized as strings only when a fresh entry is inserted.
 //
 // Sharding: the keyspace is hash-partitioned across Shards independent
@@ -94,7 +95,7 @@ type Store struct {
 	reaping []reapFlag
 	// reapHook, when non-nil, runs on the reap path after the reaper flag
 	// is taken — the test seam for the panic-survival regression test (the
-	// real panic sources, like the facade's arena-exhaustion panic inside
+	// real panic sources, like the facade's slot-table exhaustion panic inside
 	// UpdateBytes, cannot be triggered deterministically from out here).
 	reapHook func()
 	// flush_all bookkeeping, the analog of memcached's oldest_live rule
@@ -431,7 +432,7 @@ func (s *Store) GetBatch(p Pin, keys [][]byte, fn func(i int, it Item, ok bool))
 // is still dead — bounded to one reaper per shard at a time so a stampede
 // of readers on a hot expired key cannot pile onto the mutation path, and
 // non-blocking for everyone who loses the flag. The flag clear is deferred:
-// a panic on the reap path (the facade's value-arena exhaustion panic
+// a panic on the reap path (the facade's slot-table exhaustion panic
 // surfaces through UpdateBytes, and an injected clock can throw too) must
 // not leave the flag stuck and permanently disable reaping for the shard.
 func (s *Store) reapDead(p Pin, sh int, h uint64, key []byte, cas uint64) {

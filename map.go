@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/pad"
 	"repro/internal/ssmem"
 )
 
@@ -25,11 +26,12 @@ type IntKey interface {
 // examples used to carry.
 //
 // Values: when V is exactly uint64 (or Value), values ride directly in the
-// structure's 64-bit value word — the zero-overhead path. Any other V lives
-// in a sharded, generation-tagged arena and the word is a tagged slot
-// handle; a reader that loses the race with a concurrent Delete detects the
-// stale generation and retries, so torn or recycled values are never
-// returned.
+// structure's 64-bit value word — the zero-overhead word mode. Any other V
+// is boxed: the word is a generation-tagged handle to a slot that points at
+// an immutable box holding V. An overwrite CASes a fresh box into the slot
+// and never writes the structure, so a concurrent Get cannot miss a key
+// being overwritten, and a stale handle reads as a miss, never as another
+// key's value.
 //
 // Keys: the two largest values of a 64-bit key domain (e.g. MaxUint64 and
 // MaxUint64-1 for K = uint64, MaxInt64 and MaxInt64-1 for K = int64) are
@@ -37,17 +39,18 @@ type IntKey interface {
 // are unaffected.
 //
 // All operations are safe for concurrent use when the backing algorithm is
-// (registry Safe flag). Update's atomicity follows the backing algorithm's
-// capability: native (e.g. ht-clht-lb) is atomic against everything;
-// fallback Updates are atomic against each other through this Map.
+// (registry Safe flag). With boxed values every per-key operation is atomic
+// against every other. In word mode Update's atomicity follows the backing
+// algorithm's capability: native (e.g. ht-clht-lb) is atomic against
+// everything; fallback Updates are atomic against each other through this
+// Map.
 type Map[K IntKey, V any] struct {
 	set    core.Extended
 	raw    core.Set // the unwrapped structure (recycling stats, snapshots)
 	ord    core.Ordered
 	native bool
 	signed bool
-	direct bool
-	arena  *mapArena[V]
+	slots  *slotTable[V] // nil in word mode
 }
 
 // NewMap builds a typed map on the named algorithm ("ht-clht-lf" and
@@ -69,9 +72,8 @@ func NewMap[K IntKey, V any](algo string, opts ...Option) (*Map[K, V], error) {
 	var zv V
 	switch any(zv).(type) {
 	case uint64, core.Value:
-		m.direct = true
 	default:
-		m.arena = &mapArena[V]{}
+		m.slots = &slotTable[V]{}
 	}
 	return m, nil
 }
@@ -107,176 +109,208 @@ func (m *Map[K, V]) dec(c core.Key) K {
 	return K(u)
 }
 
-func (m *Map[K, V]) encVal(v V) core.Value {
-	if m.direct {
-		switch x := any(v).(type) {
-		case uint64:
-			return core.Value(x)
-		case core.Value:
-			return x
-		}
+// toWord and fromWord carry a word-mode value (V is uint64 or Value) in
+// the structure's value word; fromWord decodes a missing entry to zero.
+func toWord[V any](v V) core.Value {
+	if x, ok := any(v).(uint64); ok {
+		return core.Value(x)
 	}
-	return m.arena.alloc(v)
+	return any(v).(core.Value)
 }
 
-// load decodes a value word. ok is false only in arena mode when the slot
-// was concurrently freed (the caller retries against the index).
+func fromWord[V any](w core.Value, ok bool) (V, bool) {
+	var v V
+	if !ok {
+		return v, false
+	}
+	if _, isU64 := any(v).(uint64); isU64 {
+		return any(uint64(w)).(V), true
+	}
+	return any(w).(V), true
+}
+
+// load decodes a value word read from the structure. ok is false only with
+// boxed values, when the word's slot has been retired since the word was
+// read: the entry is gone and its slot may already serve another key.
 func (m *Map[K, V]) load(w core.Value) (V, bool) {
-	if m.direct {
-		var v V
-		switch any(v).(type) {
-		case uint64:
-			return any(uint64(w)).(V), true
-		default:
-			return any(w).(V), true
-		}
+	if m.slots == nil {
+		return fromWord[V](w, true)
 	}
-	return m.arena.get(w)
+	return deref(m.slots.load(w))
 }
 
-func (m *Map[K, V]) free(w core.Value) {
-	if !m.direct {
-		m.arena.free(w)
+func deref[V any](p *V) (V, bool) {
+	if p == nil {
+		var zero V
+		return zero, false
 	}
+	return *p, true
 }
 
 // Get returns the value stored under k.
 func (m *Map[K, V]) Get(k K) (V, bool) {
-	ek := m.enc(k)
-	for {
-		w, ok := m.set.Search(ek)
-		if !ok {
-			var zero V
-			return zero, false
-		}
-		if v, valid := m.load(w); valid {
-			return v, true
-		}
-		// The entry was deleted (and its slot recycled) between the
-		// index search and the arena read; re-run the search.
+	if m.slots == nil {
+		return fromWord[V](m.set.Search(m.enc(k)))
 	}
+	return deref(m.lookup(k))
 }
 
 // Insert adds (k, v) if k is absent and reports whether it did.
 func (m *Map[K, V]) Insert(k K, v V) bool {
-	w := m.encVal(v)
-	if m.set.Insert(m.enc(k), w) {
-		return true
+	if m.slots == nil {
+		return m.set.Insert(m.enc(k), toWord(v))
 	}
-	m.free(w)
-	return false
+	inserted := false
+	m.publish(k, func(cur *V) (*V, bool) {
+		inserted = cur == nil
+		return &v, inserted
+	})
+	return inserted
 }
 
 // Put stores v under k, replacing any existing value (upsert). It reports
-// whether the key was fresh. On algorithms without native Update (see
-// Capabilities), replacement is remove-then-insert, so a concurrent Get of
-// the same key can briefly miss; ht-clht-lb replaces in place with no
-// window.
+// whether the key was fresh. A boxed value is replaced in its slot, with no
+// window in which the key is absent. In word mode, on algorithms without
+// native Update (see Capabilities), replacement is remove-then-insert, so a
+// concurrent Get of the same key can briefly miss; ht-clht-lb replaces in
+// place with no window.
 func (m *Map[K, V]) Put(k K, v V) bool {
-	w := m.encVal(v)
-	var replaced core.Value
-	var had bool
-	m.set.Update(m.enc(k), func(old core.Value, present bool) (core.Value, bool) {
-		replaced, had = old, present
-		return w, true
-	})
-	if had && replaced != w {
-		m.free(replaced)
+	if m.slots == nil {
+		w, had := toWord(v), false
+		m.set.Update(m.enc(k), func(_ core.Value, present bool) (core.Value, bool) {
+			had = present
+			return w, true
+		})
+		return !had
 	}
-	return !had
+	fresh := false
+	m.publish(k, func(cur *V) (*V, bool) {
+		fresh = cur == nil
+		return &v, true
+	})
+	return fresh
 }
 
 // GetOrInsert returns the existing value for k, or stores and returns v.
 func (m *Map[K, V]) GetOrInsert(k K, v V) (V, bool) {
-	ek := m.enc(k)
-	w := m.encVal(v)
-	for {
-		got, inserted := m.set.GetOrInsert(ek, w)
-		if inserted {
-			return v, true
+	if m.slots == nil {
+		got, inserted := m.set.GetOrInsert(m.enc(k), toWord(v))
+		gv, _ := fromWord[V](got, true)
+		return gv, inserted
+	}
+	got, inserted := v, false
+	m.publish(k, func(cur *V) (*V, bool) {
+		if cur != nil {
+			got, inserted = *cur, false
+			return nil, false
 		}
-		if gv, valid := m.load(got); valid {
-			m.free(w)
-			return gv, false
-		}
-		// The incumbent was deleted under us; try to insert again.
-	}
-}
-
-// updState carries one Update call's mutable state in a single heap
-// object: the callback is a method value over it, so the call costs two
-// allocations (state + method value) instead of one boxed cell per
-// captured variable — mutations are the facade's hottest write path.
-type updState[K IntKey, V any] struct {
-	m             *Map[K, V]
-	f             func(old V, present bool) (V, bool)
-	slotW         core.Value
-	slotAllocated bool
-	lastV         V
-	replaced      core.Value
-	had           bool
-}
-
-func (s *updState[K, V]) step(old core.Value, ok bool) (core.Value, bool) {
-	m := s.m
-	var ov V
-	if ok {
-		ov, _ = m.load(old) // a stale read only happens on a
-		// speculative invocation whose result is discarded
-	}
-	nv, keep := s.f(ov, ok)
-	s.lastV = nv
-	s.replaced, s.had = old, ok
-	if !keep {
-		return 0, false
-	}
-	if m.direct {
-		return m.encVal(nv), true
-	}
-	if !s.slotAllocated {
-		s.slotW = m.arena.alloc(nv)
-		s.slotAllocated = true
-	} else {
-		m.arena.set(s.slotW, nv) // still private: not yet published
-	}
-	return s.slotW, true
+		got, inserted = v, true
+		return &v, true
+	})
+	return got, inserted
 }
 
 // Update atomically transforms the entry for k: f receives the current
 // value (present reports existence) and returns the new value and whether
 // the key should remain present. It returns the value after the update and
 // the resulting presence. f must be pure and must not call back into the
-// map: it may run more than once, and with native algorithms it runs under
-// the structure's own lock.
+// map: it may run more than once, and with native algorithms in word mode
+// it runs under the structure's own lock.
 func (m *Map[K, V]) Update(k K, f func(old V, present bool) (V, bool)) (V, bool) {
-	st := updState[K, V]{m: m, f: f}
-	_, present := m.set.Update(m.enc(k), st.step)
-	if present {
-		if st.had {
-			m.free(st.replaced) // the fresh slot replaced the old word
+	if m.slots == nil {
+		return fromWord[V](m.set.Update(m.enc(k), func(w core.Value, present bool) (core.Value, bool) {
+			nv, keep := f(fromWord[V](w, present))
+			return toWord(nv), keep
+		}))
+	}
+	var out V
+	var present bool
+	m.publish(k, func(cur *V) (*V, bool) {
+		old, had := deref(cur)
+		nv, keep := f(old, had)
+		if out, present = nv, keep; !keep {
+			var zero V
+			out = zero
+			return nil, had
 		}
-		return st.lastV, true
-	}
-	if st.had {
-		m.free(st.replaced) // the update removed the entry
-	}
-	if st.slotAllocated {
-		m.free(st.slotW) // allocated on a path that ultimately removed
-	}
-	var zero V
-	return zero, false
+		return &nv, true
+	})
+	return out, present
 }
 
 // Delete removes k, returning the removed value.
 func (m *Map[K, V]) Delete(k K) (V, bool) {
-	w, ok := m.set.Remove(m.enc(k))
-	if !ok {
-		var zero V
-		return zero, false
+	if m.slots == nil {
+		return fromWord[V](m.set.Remove(m.enc(k)))
 	}
-	v, _ := m.load(w) // we own w now; it cannot be recycled under us
-	m.free(w)
-	return v, true
+	var old V
+	var had bool
+	m.publish(k, func(cur *V) (*V, bool) {
+		old, had = deref(cur)
+		return nil, had
+	})
+	return old, had
+}
+
+// lookup is the boxed read path, shared with StringMap: one core search and
+// one slot load, with no lock and no store. nil means k is absent.
+func (m *Map[K, V]) lookup(k K) *V {
+	w, ok := m.set.Search(m.enc(k))
+	if !ok {
+		return nil
+	}
+	return m.slots.load(w)
+}
+
+// publish is the boxed write path, shared with StringMap (whose entries are
+// collision chains). f maps k's current entry (nil when k is absent) to the
+// immutable entry that replaces it (nil removes k) and reports whether to
+// write at all; it may run more than once, and only the run whose result is
+// published counts. An overwrite CASes the slot and leaves the structure
+// alone; a fresh entry fills a slot, then is inserted; removing the entry
+// CASes the slot to nil, unlinks the handle and frees the slot. See
+// DESIGN.md, "The typed facade", for why slot reuse is safe.
+func (m *Map[K, V]) publish(k K, f func(cur *V) (next *V, write bool)) {
+	ek := m.enc(k)
+	h := uint64(ek)
+	for {
+		w, found := m.set.Search(ek)
+		var cur *V
+		if found {
+			if cur = m.slots.load(w); cur == nil {
+				m.unlink(ek, w)
+				continue
+			}
+		}
+		next, write := f(cur)
+		switch {
+		case !write || cur == nil && next == nil:
+			return
+		case cur == nil:
+			w = m.slots.alloc(h, next)
+			if m.set.Insert(ek, w) {
+				return
+			}
+			m.slots.free(h, w) // a concurrent writer created the entry first
+		case next != nil:
+			if m.slots.cas(w, cur, next) {
+				return
+			}
+		case m.slots.cas(w, cur, nil):
+			m.unlink(ek, w)
+			m.slots.free(h, w)
+			return
+		}
+	}
+}
+
+// unlink removes k from the structure only if it still maps to the handle
+// w, whose slot is retired: a fresh entry under k holds another slot or a
+// later generation, and is left alone.
+func (m *Map[K, V]) unlink(k core.Key, w core.Value) {
+	m.set.Update(k, func(old core.Value, present bool) (core.Value, bool) {
+		return old, present && old != w
+	})
 }
 
 // Len counts the entries. Like Set.Size: linear time, quiescent use.
@@ -284,14 +318,15 @@ func (m *Map[K, V]) Len() int { return m.set.Size() }
 
 // ForEach enumerates entries until yield returns false. Entries deleted
 // concurrently may be skipped; no entry is yielded with a recycled value.
-func (m *Map[K, V]) ForEach(yield func(K, V) bool) {
-	m.set.ForEach(func(k core.Key, w core.Value) bool {
+func (m *Map[K, V]) ForEach(yield func(K, V) bool) { m.set.ForEach(m.decoded(yield)) }
+
+// decoded adapts yield to the structure's enumerations, skipping entries
+// deleted under the scan.
+func (m *Map[K, V]) decoded(yield func(K, V) bool) func(core.Key, core.Value) bool {
+	return func(k core.Key, w core.Value) bool {
 		v, valid := m.load(w)
-		if !valid {
-			return true // deleted under the scan
-		}
-		return yield(m.dec(k), v)
-	})
+		return !valid || yield(m.dec(k), v)
+	}
 }
 
 // Snapshot enumerates entries through the backing structure's
@@ -301,13 +336,7 @@ func (m *Map[K, V]) ForEach(yield func(K, V) bool) {
 // call; entries deleted under the scan are skipped, exactly as in ForEach.
 func (m *Map[K, V]) Snapshot(yield func(K, V) bool) bool {
 	sn, native := core.SnapshotterOf(m.raw)
-	sn.Snapshot(func(k core.Key, w core.Value) bool {
-		v, valid := m.load(w)
-		if !valid {
-			return true // deleted under the scan
-		}
-		return yield(m.dec(k), v)
-	})
+	sn.Snapshot(m.decoded(yield))
 	return native
 }
 
@@ -344,24 +373,14 @@ func (m *Map[K, V]) Range(lo, hi K, yield func(K, V) bool) int {
 }
 
 // Min returns the smallest-keyed entry.
-func (m *Map[K, V]) Min() (K, V, bool) {
-	for {
-		k, w, ok := m.ord.Min()
-		if !ok {
-			var zk K
-			var zv V
-			return zk, zv, false
-		}
-		if v, valid := m.load(w); valid {
-			return m.dec(k), v, true
-		}
-	}
-}
+func (m *Map[K, V]) Min() (K, V, bool) { return m.extreme(m.ord.Min) }
 
 // Max returns the largest-keyed entry.
-func (m *Map[K, V]) Max() (K, V, bool) {
+func (m *Map[K, V]) Max() (K, V, bool) { return m.extreme(m.ord.Max) }
+
+func (m *Map[K, V]) extreme(end func() (core.Key, core.Value, bool)) (K, V, bool) {
 	for {
-		k, w, ok := m.ord.Max()
+		k, w, ok := end()
 		if !ok {
 			var zk K
 			var zv V
@@ -370,93 +389,118 @@ func (m *Map[K, V]) Max() (K, V, bool) {
 		if v, valid := m.load(w); valid {
 			return m.dec(k), v, true
 		}
+		m.unlink(k, w) // a retired entry its remover has not unlinked yet
 	}
 }
 
-// --- value arena ---
+// --- slot table ---
 
-// Arena word layout: [ gen:32 | shard:4 | slot:28 ]. The generation tag
-// makes slot recycling ABA-safe: free bumps the generation, so a handle to
-// a recycled slot no longer matches and readers retry via the index.
+// The slot table holds boxed entries in chunks that never move, found
+// through a directory grown copy-on-write, so readers take no lock. Freed
+// slots wait on mutex-guarded stacks that only entry creation and
+// destruction touch.
 const (
-	arenaShards   = 16
-	arenaSlotBits = 28
-	arenaShardSh  = arenaSlotBits
-	arenaGenSh    = 32
+	slotChunkBits = 12
+	slotFreeLists = 16
 )
 
-type arenaSlot[V any] struct {
-	gen uint32
-	val V
+// slot holds one core entry's current entry, nil once retired; gen counts
+// its retirements. A handle (the core value word) is gen<<32 | index.
+type slot[T any] struct {
+	p   atomic.Pointer[T]
+	gen atomic.Uint32
 }
 
-type arenaShard[V any] struct {
-	mu    sync.RWMutex
-	slots []arenaSlot[V]
-	free  []uint32
+type slotChunk[T any] [1 << slotChunkBits]slot[T]
+
+type slotTable[T any] struct {
+	dir     atomic.Pointer[[]*slotChunk[T]]
+	mu      sync.Mutex // serializes growth
+	n       uint32     // slots ever handed out, under mu
+	retired [slotFreeLists]struct {
+		mu  sync.Mutex
+		idx []uint32
+		_   pad.CacheLinePad
+	}
 }
 
-type mapArena[V any] struct {
-	shards [arenaShards]arenaShard[V]
-	next   atomic.Uint32
+func (t *slotTable[T]) at(w core.Value) *slot[T] {
+	i := uint32(w)
+	return &(*t.dir.Load())[i>>slotChunkBits][i&(1<<slotChunkBits-1)]
 }
 
-func (a *mapArena[V]) alloc(v V) core.Value {
-	sh := uint64(a.next.Add(1)) % arenaShards
-	s := &a.shards[sh]
-	s.mu.Lock()
-	var idx uint32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		if len(s.slots) >= 1<<arenaSlotBits {
-			s.mu.Unlock()
-			panic("ascylib: value arena shard exhausted")
+// load returns the entry handle w names, or nil once its slot is retired.
+// gen is read after p: a match proves p was loaded before any retirement,
+// so p is w's entry and not that of a later owner of the slot.
+func (t *slotTable[T]) load(w core.Value) *T {
+	s := t.at(w)
+	p := s.p.Load()
+	if s.gen.Load() != uint32(w>>32) {
+		return nil
+	}
+	return p
+}
+
+// cas swaps the entry under handle w. The GC keeps cur's address from being
+// reused while the caller holds it, so success means nothing was published
+// in between.
+func (t *slotTable[T]) cas(w core.Value, cur, next *T) bool {
+	return t.at(w).p.CompareAndSwap(cur, next)
+}
+
+// alloc fills a free slot with e and returns its handle. h, the entry's
+// core key, picks the free list.
+func (t *slotTable[T]) alloc(h uint64, e *T) core.Value {
+	fl := &t.retired[slotFreeList(h)]
+	fl.mu.Lock()
+	n := len(fl.idx)
+	var i uint32
+	if n > 0 {
+		i, fl.idx = fl.idx[n-1], fl.idx[:n-1]
+	}
+	fl.mu.Unlock()
+	if n == 0 {
+		i = t.grow()
+	}
+	s := t.at(core.Value(i))
+	s.p.Store(e)
+	return core.Value(uint64(s.gen.Load())<<32 | uint64(i))
+}
+
+// free retires the slot handle w names, which the caller owns: its entry is
+// unpublished, or unlinked from the structure.
+func (t *slotTable[T]) free(h uint64, w core.Value) {
+	s := t.at(w)
+	s.p.Store(nil)
+	s.gen.Add(1)
+	fl := &t.retired[slotFreeList(h)]
+	fl.mu.Lock()
+	fl.idx = append(fl.idx, uint32(w))
+	fl.mu.Unlock()
+}
+
+// grow hands out a never-used slot, adding a chunk when the last is full.
+func (t *slotTable[T]) grow() uint32 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.n == math.MaxUint32 {
+		panic("ascylib: slot table exhausted")
+	}
+	i := t.n
+	t.n++
+	if i&(1<<slotChunkBits-1) == 0 {
+		var dir []*slotChunk[T]
+		if d := t.dir.Load(); d != nil {
+			dir = *d
 		}
-		idx = uint32(len(s.slots))
-		s.slots = append(s.slots, arenaSlot[V]{})
+		dir = append(dir[:len(dir):len(dir)], new(slotChunk[T]))
+		t.dir.Store(&dir)
 	}
-	s.slots[idx].val = v
-	gen := s.slots[idx].gen
-	s.mu.Unlock()
-	return core.Value(uint64(gen)<<arenaGenSh | sh<<arenaShardSh | uint64(idx))
+	return i
 }
 
-func (a *mapArena[V]) locate(w core.Value) (*arenaShard[V], uint32, uint32) {
-	sh := (uint64(w) >> arenaShardSh) & (arenaShards - 1)
-	idx := uint32(uint64(w) & (1<<arenaSlotBits - 1))
-	gen := uint32(uint64(w) >> arenaGenSh)
-	return &a.shards[sh], idx, gen
-}
-
-func (a *mapArena[V]) get(w core.Value) (V, bool) {
-	s, idx, gen := a.locate(w)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if int(idx) >= len(s.slots) || s.slots[idx].gen != gen {
-		var zero V
-		return zero, false
-	}
-	return s.slots[idx].val, true
-}
-
-// set overwrites a slot the caller owns (allocated, not yet published).
-func (a *mapArena[V]) set(w core.Value, v V) {
-	s, idx, _ := a.locate(w)
-	s.mu.Lock()
-	s.slots[idx].val = v
-	s.mu.Unlock()
-}
-
-func (a *mapArena[V]) free(w core.Value) {
-	s, idx, gen := a.locate(w)
-	s.mu.Lock()
-	if int(idx) < len(s.slots) && s.slots[idx].gen == gen {
-		var zero V
-		s.slots[idx].gen++ // invalidate outstanding handles
-		s.slots[idx].val = zero
-		s.free = append(s.free, idx)
-	}
-	s.mu.Unlock()
+// slotFreeList picks the free list for core key h. An entry is created and
+// destroyed on the same list, so no list hoards slots another one needs.
+func slotFreeList(h uint64) uint64 {
+	return h * 0x9E3779B97F4A7C15 >> 60 // top 4 bits: slotFreeLists == 16
 }

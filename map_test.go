@@ -33,7 +33,7 @@ func TestMapDirectUint64(t *testing.T) {
 	}
 }
 
-func TestMapArenaValues(t *testing.T) {
+func TestMapBoxedValues(t *testing.T) {
 	m := ascylib.MustNewMap[uint64, string]("sl-fraser-opt")
 	for i := uint64(1); i <= 200; i++ {
 		if !m.Insert(i, fmt.Sprintf("val-%d", i)) {
@@ -46,7 +46,7 @@ func TestMapArenaValues(t *testing.T) {
 			t.Fatalf("Get(%d) = (%q,%v)", i, v, ok)
 		}
 	}
-	// Delete half, reinsert with new values: arena slots recycle, handles
+	// Delete half, reinsert with new values: slots are reused, handles
 	// stay unambiguous.
 	for i := uint64(1); i <= 200; i += 2 {
 		if _, ok := m.Delete(i); !ok {
@@ -156,9 +156,9 @@ func TestMapForEach(t *testing.T) {
 	}
 }
 
-// TestMapConcurrent exercises the arena's generation tags: concurrent
-// delete/reinsert races must never surface a recycled value under the wrong
-// key.
+// TestMapConcurrent exercises the slot table's generation tags: concurrent
+// delete/reinsert races must never surface a reused slot's value under the
+// wrong key.
 func TestMapConcurrent(t *testing.T) {
 	m := ascylib.MustNewMap[uint64, string]("ht-clht-lf", ascylib.Capacity(256))
 	const keys = 64
@@ -191,8 +191,8 @@ func TestMapConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMapConcurrentCounter: typed Update atomicity end to end (native on
-// ht-clht-lb, stripe fallback elsewhere), through the arena.
+// TestMapConcurrentCounter: typed Update atomicity end to end, through the
+// boxed values' slot CAS on every backend.
 func TestMapConcurrentCounter(t *testing.T) {
 	for _, algo := range []string{"ht-clht-lb", "sl-fraser-opt"} {
 		t.Run(algo, func(t *testing.T) {

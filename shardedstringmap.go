@@ -13,7 +13,7 @@ import (
 // independent StringMap instances — the sharding layer the server runs on,
 // and the library's one in-process router (S = 1 is the unsharded case).
 // Every shard is a complete StringMap with its own backing structure, its
-// own value arena, and (for ht-urcu-ssmem) its own SSMEM recycling domain,
+// own slot table, and (for ht-urcu-ssmem) its own SSMEM recycling domain,
 // so shards share no synchronization whatsoever. The point, per the paper's
 // Figure 2 story: hash tables scale because they are already sharded; this
 // applies the same decomposition one level up, so the list, skip-list, and
@@ -225,19 +225,19 @@ func rangeBytes[V any](m *StringMap[V], lo, hi []byte, limit int, fn func(k stri
 		phi = prefixHash(hi)
 	}
 	n := 0
-	m.m.Range(plo, phi, func(_ uint64, chain []strEntry[V]) bool {
-		for i := range chain {
-			if len(lo) > 0 && cmpKey(chain[i].key, lo) < 0 {
+	m.m.Range(plo, phi, func(_ uint64, head chainNode[V]) bool {
+		for c := &head; c != nil; c = c.next {
+			if len(lo) > 0 && cmpKey(c.key, lo) < 0 {
 				continue
 			}
-			if hi != nil && cmpKey(chain[i].key, hi) > 0 {
+			if hi != nil && cmpKey(c.key, hi) > 0 {
 				return false
 			}
 			if limit > 0 && n >= limit {
 				return false
 			}
 			n++
-			if !fn(chain[i].key, chain[i].val) {
+			if !fn(c.key, c.val) {
 				return false
 			}
 		}

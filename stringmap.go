@@ -13,13 +13,12 @@ import (
 // not fit an integer type.
 //
 // Keys are carried onto the 64-bit core by hashing (FNV-1a) and chaining:
-// each core entry holds the small slice of (key, value) pairs whose keys
-// collide on the hash, stored in Map's generation-tagged value arena. All
-// per-key operations are read-modify-writes of that chain through
-// Map.Update, so they inherit Map's atomicity contract: atomic against
-// everything on algorithms with native Update (see Capabilities), atomic
-// against each other elsewhere. With a 64-bit hash, chains are almost
-// always a single element.
+// each core entry is a boxed Map entry, the head of an immutable chain of
+// the (key, value) pairs whose keys collide on the hash. A read walks the
+// chain with no lock and no store; a write republishes the chain through
+// Map.publish, so per-key operations are atomic on every algorithm and an
+// overwritten key is never briefly absent. With a 64-bit hash, chains are
+// almost always a single element.
 //
 // Because hashing destroys order, StringMap has no Range/Min/Max; ForEach
 // enumerates in no particular order. Use Map for ordered typed keys — or
@@ -27,7 +26,7 @@ import (
 // order-preserving 8-byte prefix encoding so string order survives the trip
 // through the core.
 type StringMap[V any] struct {
-	m *Map[uint64, []strEntry[V]]
+	m *Map[uint64, chainNode[V]]
 
 	// ordered selects the order-preserving keying mode (see
 	// NewOrderedShardedStringMap): keys are carried onto the core by their
@@ -37,16 +36,42 @@ type StringMap[V any] struct {
 	ordered bool
 }
 
-type strEntry[V any] struct {
-	key string
-	val V
+// chainNode is one link of a collision chain. A published chain is never
+// modified: writers copy the nodes ahead of the one they change and share
+// the rest.
+type chainNode[V any] struct {
+	key  string
+	val  V
+	next *chainNode[V]
+}
+
+// each yields the chain's pairs in order and reports whether yield asked
+// for more.
+func (c *chainNode[V]) each(yield func(k string, v V) bool) bool {
+	for ; c != nil; c = c.next {
+		if !yield(c.key, c.val) {
+			return false
+		}
+	}
+	return true
+}
+
+// splice returns the chain from head with the node at replaced by sub: the
+// nodes ahead of at are copied and everything from sub on is shared.
+func splice[V any](head, at, sub *chainNode[V]) *chainNode[V] {
+	if head == at {
+		return sub
+	}
+	c := *head
+	c.next = splice(head.next, at, sub)
+	return &c
 }
 
 // NewStringMap builds a string-keyed map on the named algorithm. The hash
 // tables ("ht-clht-lb", "ht-clht-lf") are the natural backends; any
 // registered algorithm works.
 func NewStringMap[V any](algo string, opts ...Option) (*StringMap[V], error) {
-	m, err := NewMap[uint64, []strEntry[V]](algo, opts...)
+	m, err := NewMap[uint64, chainNode[V]](algo, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -155,12 +180,9 @@ func cmpKey[K ~string | ~[]byte](s string, k K) int {
 // precomputed hash h and scan it for k. Split from Get/GetBytes so the
 // sharded facade can route and look up with a single hash computation.
 func getChain[K ~string | ~[]byte, V any](m *StringMap[V], h uint64, k K) (V, bool) {
-	chain, ok := m.m.Get(h)
-	if ok {
-		for i := range chain {
-			if eqKey(chain[i].key, k) {
-				return chain[i].val, true
-			}
+	for c := m.m.lookup(h); c != nil; c = c.next {
+		if eqKey(c.key, k) {
+			return c.val, true
 		}
 	}
 	var zero V
@@ -197,95 +219,44 @@ func HashBytes(k []byte) uint64 { return strHash(k) }
 // bytes off the wire.
 func HashString(k string) uint64 { return strHash(k) }
 
-// chainUpd carries one updateChain call's mutable state in a single heap
-// object (see Map's updState for the allocation rationale). The staging
-// chain is allocated once per call and reused across speculative
-// invocations of the callback: earlier invocations' results are discarded
-// by contract, so rewriting the same backing array is safe, and the final
-// invocation's array is what gets published.
-type chainUpd[K ~string | ~[]byte, V any] struct {
-	k          K
-	f          func(old V, present bool) (V, bool)
-	outV       V
-	outPresent bool
-	sorted     bool // keep the chain lexicographically sorted (ordered mode)
-	scratch    []strEntry[V]
-}
-
-func (s *chainUpd[K, V]) step(chain []strEntry[V], _ bool) ([]strEntry[V], bool) {
-	k := s.k
-	idx := -1
-	for i := range chain {
-		if len(chain[i].key) == len(k) {
-			match := true
-			for j := 0; j < len(k); j++ {
-				if chain[i].key[j] != k[j] {
-					match = false
-					break
-				}
-			}
-			if match {
-				idx = i
-				break
-			}
-		}
-	}
-	var old V
-	if idx >= 0 {
-		old = chain[idx].val
-	}
-	nv, keep := s.f(old, idx >= 0)
-	switch {
-	case keep:
-		if cap(s.scratch) < len(chain)+1 {
-			s.scratch = make([]strEntry[V], 0, len(chain)+1)
-		}
-		out := append(s.scratch[:0], chain...)
-		if idx >= 0 {
-			out[idx].val = nv
-		} else if s.sorted {
-			// Ordered mode: splice the fresh key in at its lexicographic
-			// position so the chain enumerates in string order.
-			at := len(out)
-			for i := range out {
-				if cmpKey(out[i].key, k) > 0 {
-					at = i
-					break
-				}
-			}
-			out = append(out, strEntry[V]{})
-			copy(out[at+1:], out[at:])
-			out[at] = strEntry[V]{key: string(k), val: nv}
-		} else {
-			out = append(out, strEntry[V]{key: string(k), val: nv})
-		}
-		s.scratch = out
-		s.outV, s.outPresent = nv, true
-		return out, true
-	case idx < 0:
-		// Removing an absent key: leave the chain as it stands.
-		s.outV, s.outPresent = old, false
-		return chain, len(chain) > 0
-	default:
-		if cap(s.scratch) < len(chain)-1 {
-			s.scratch = make([]strEntry[V], 0, len(chain)-1)
-		}
-		out := append(s.scratch[:0], chain[:idx]...)
-		out = append(out, chain[idx+1:]...)
-		s.scratch = out
-		s.outV, s.outPresent = old, false
-		return out, len(out) > 0
-	}
-}
-
 // updateChain is the shared read-modify-write over a collision chain,
 // generic over string and []byte keys, under a precomputed hash (see
-// getChain). The key is converted to a string only when a fresh entry is
-// appended — steady-state mutations of existing keys never materialize one.
+// getChain). The rebuilt chain replaces k's node, or drops it, or splices a
+// fresh node in (at the head, or at its sorted position in ordered mode).
+// The key is converted to a string only when a fresh node is made —
+// steady-state mutations of existing keys never materialize one.
 func updateChain[K ~string | ~[]byte, V any](m *StringMap[V], h uint64, k K, f func(old V, present bool) (V, bool)) (V, bool) {
-	st := chainUpd[K, V]{k: k, f: f, sorted: m.ordered}
-	m.m.Update(h, st.step)
-	return st.outV, st.outPresent
+	var out V
+	var present bool
+	m.m.publish(h, func(head *chainNode[V]) (*chainNode[V], bool) {
+		c := head
+		for c != nil && !eqKey(c.key, k) {
+			c = c.next
+		}
+		var old V
+		if c != nil {
+			old = c.val
+		}
+		nv, keep := f(old, c != nil)
+		switch {
+		case keep && c != nil:
+			out, present = nv, true
+			return splice(head, c, &chainNode[V]{key: c.key, val: nv, next: c.next}), true
+		case keep:
+			out, present = nv, true
+			at := head
+			for m.ordered && at != nil && cmpKey(at.key, k) < 0 {
+				at = at.next
+			}
+			return splice(head, at, &chainNode[V]{key: string(k), val: nv, next: at}), true
+		case c != nil:
+			out, present = old, false
+			return splice(head, c, c.next), true
+		}
+		out, present = old, false // removing an absent key: nothing to write
+		return nil, false
+	})
+	return out, present
 }
 
 // Update atomically transforms the entry for k: f receives the current
@@ -386,39 +357,23 @@ func (m *StringMap[V]) Delete(k string) (V, bool) {
 // Len counts the entries. Like Set.Size: linear time, quiescent use.
 func (m *StringMap[V]) Len() int {
 	n := 0
-	m.m.ForEach(func(_ uint64, chain []strEntry[V]) bool {
-		n += len(chain)
-		return true
-	})
+	m.ForEach(func(string, V) bool { n++; return true })
 	return n
 }
 
 // ForEach enumerates entries, in no particular order, until yield returns
 // false. Entries deleted concurrently may be skipped.
 func (m *StringMap[V]) ForEach(yield func(k string, v V) bool) {
-	m.m.ForEach(func(_ uint64, chain []strEntry[V]) bool {
-		for i := range chain {
-			if !yield(chain[i].key, chain[i].val) {
-				return false
-			}
-		}
-		return true
-	})
+	m.m.ForEach(func(_ uint64, head chainNode[V]) bool { return head.each(yield) })
 }
 
 // Snapshot enumerates entries through the core's consistent-cut traversal
 // (see Map.Snapshot) and reports whether the cut is native. A whole
-// collision chain is one core value, so every key in a chain is observed at
-// the same instant — a chain can never be half-snapshotted.
+// collision chain is one immutable entry loaded from its slot at once, so
+// every key in a chain is observed at the same instant — a chain can never
+// be half-snapshotted.
 func (m *StringMap[V]) Snapshot(yield func(k string, v V) bool) bool {
-	return m.m.Snapshot(func(_ uint64, chain []strEntry[V]) bool {
-		for i := range chain {
-			if !yield(chain[i].key, chain[i].val) {
-				return false
-			}
-		}
-		return true
-	})
+	return m.m.Snapshot(func(_ uint64, head chainNode[V]) bool { return head.each(yield) })
 }
 
 // RecycleStats returns the backing structure's SSMEM allocator counters

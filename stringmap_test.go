@@ -175,10 +175,10 @@ func TestStringMapGetBytesZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStringMapUpdateStagingIsolated: the staging chain reused across
-// speculative Update invocations must never leak into a published chain
-// that a concurrent reader still holds (values read back must always be
-// internally consistent).
+// TestStringMapUpdateStagingIsolated: a chain built by one Update
+// invocation must never be written after it is published, since concurrent
+// readers may hold it (values read back must always be internally
+// consistent).
 func TestStringMapUpdateStagingIsolated(t *testing.T) {
 	m := MustNewStringMap[[2]uint64]("ht-clht-lb", Capacity(64))
 	const writers, rounds = 4, 2000
