@@ -207,25 +207,32 @@ func removeInsertAllocs(s core.Set, k core.Key) float64 {
 	})
 }
 
-// TestMapOverwriteAllocGate: overwriting a present key of a boxed-value Map
-// publishes one fresh immutable box through the entry's slot and touches
-// nothing else, so it allocates exactly the box.
+// TestMapOverwriteAllocGate: overwriting a present key of a Map publishes
+// one fresh immutable box through the entry's slot and touches nothing else,
+// so it allocates exactly the box, for a uint64 value as for any other.
 func TestMapOverwriteAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation gates are meaningless under race instrumentation")
 	}
 	for _, algo := range []string{"ht-clht-lb", "sl-fraser-opt"} {
 		t.Run(algo, func(t *testing.T) {
-			m := MustNewMap[int, string](algo, Capacity(64))
-			for k := 0; k < 64; k++ {
-				m.Put(k, "v")
-			}
-			if avg := testing.AllocsPerRun(400, func() { m.Put(33, "w") }); avg != 1 {
-				t.Fatalf("%s: Map.Put overwrite allocates %.2f/op, want 1", algo, avg)
-			}
-			if v, ok := m.Get(33); !ok || v != "w" {
-				t.Fatalf("Get(33) = (%q, %v) after the overwrites", v, ok)
-			}
+			mapOverwriteAllocGate(t, MustNewMap[int, string](algo, Capacity(64)), "v", "w")
+			mapOverwriteAllocGate(t, MustNewMap[int, uint64](algo, Capacity(64)), 1, 2)
 		})
+	}
+}
+
+// mapOverwriteAllocGate fills m with v, then requires that overwriting one
+// key with w allocates exactly once and reads back w.
+func mapOverwriteAllocGate[V comparable](t *testing.T, m *Map[int, V], v, w V) {
+	t.Helper()
+	for k := 0; k < 64; k++ {
+		m.Put(k, v)
+	}
+	if avg := testing.AllocsPerRun(400, func() { m.Put(33, w) }); avg != 1 {
+		t.Fatalf("Map[int, %T].Put overwrite allocates %.2f/op, want 1", v, avg)
+	}
+	if got, ok := m.Get(33); !ok || got != w {
+		t.Fatalf("Get(33) = (%v, %v) after the overwrites, want %v", got, ok, w)
 	}
 }

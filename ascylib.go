@@ -32,22 +32,19 @@
 //	m.Put(-3, "hello")
 //	m.Range(-10, 10, func(k int64, v string) bool { return true })
 //
-// StringMap[V] is the string-keyed companion (hashing + collision chains
+// ShardedStringMap[V] is the string-keyed map (hashing + collision chains
 // over the same structures), for callers — such as the memcached-protocol
 // server in internal/server, runnable via cmd/ascyserve — whose keys are
-// not integers:
+// not integers. It splits the keyspace across S independent shards — the
+// paper's "hash tables scale because they are already sharded" observation
+// applied one level up, so a hot list or tree becomes S cool ones.
+// NewShardedStringMap routes by hash; NewOrderedShardedStringMap routes by
+// key range over order-preserving shards, so scans walk the shards in
+// order. S = 1 is the unsharded case of either:
 //
-//	sm := ascylib.MustNewStringMap[[]byte]("ht-clht-lf")
+//	sm := ascylib.MustNewShardedStringMap[[]byte]("ht-clht-lf", 1)
 //	sm.Put("user:42", []byte("profile"))
-//
-// ShardedStringMap[V] splits a string keyspace across S independent
-// StringMaps — the paper's "hash tables scale because they are already
-// sharded" observation applied one level up, so a hot list or tree becomes
-// S cool ones. NewShardedStringMap routes by hash; NewOrderedShardedStringMap
-// routes by key range over order-preserving shards, so scans walk the
-// shards in order. S = 1 is the unsharded case of either:
-//
-//	om, _ := ascylib.NewOrderedShardedStringMap[int]("sl-fraser-opt", 1)
+//	om, _ := ascylib.NewOrderedShardedStringMap[int]("sl-fraser-opt", 4)
 //	om.Put("apple", 1)
 //
 // Use Algorithms to enumerate the catalogue, and see DESIGN.md /
@@ -75,8 +72,8 @@ import (
 	_ "repro/internal/skiplist"
 )
 
-// Key is a 64-bit element key. Key 0 is reserved; valid keys are
-// 1..MaxUint64-2 (the top values serve as sentinels in some structures).
+// Key is a 64-bit element key. Key 0 and key MaxUint64 are reserved as
+// sentinels; valid keys are 1..MaxUint64-1.
 type Key = core.Key
 
 // Value is a 64-bit opaque value word.

@@ -73,9 +73,9 @@ func TestServerGetPathZeroAlloc(t *testing.T) {
 			if avg := testing.AllocsPerRun(512, step); avg != 0 {
 				t.Fatalf("pipelined get hit allocates %.2f/op, want 0", avg)
 			}
-			if ws.getHits.Load() == 0 || ws.getMisses.Load() != 0 {
+			if ws.n[cGetHits].Load() == 0 || ws.n[cGetMisses].Load() != 0 {
 				t.Fatalf("gate did not exercise hits: hits=%d misses=%d",
-					ws.getHits.Load(), ws.getMisses.Load())
+					ws.n[cGetHits].Load(), ws.n[cGetMisses].Load())
 			}
 		})
 	}
@@ -136,10 +136,10 @@ func TestServerBatchedGetPathZeroAlloc(t *testing.T) {
 			if avg := testing.AllocsPerRun(256, step); avg != 0 {
 				t.Fatalf("batched get burst allocates %.2f/batch, want 0", avg)
 			}
-			if ws.getMisses.Load() != 0 {
-				t.Fatalf("gate keys missed: misses=%d", ws.getMisses.Load())
+			if ws.n[cGetMisses].Load() != 0 {
+				t.Fatalf("gate keys missed: misses=%d", ws.n[cGetMisses].Load())
 			}
-			if got := ws.cmdBatched.Load() / ws.batches.Load(); got < 32 {
+			if got := ws.n[cCmdBatched].Load() / ws.n[cBatches].Load(); got < 32 {
 				t.Fatalf("achieved batch depth %d, want >= 32 (batching not engaged)", got)
 			}
 		})
@@ -460,7 +460,7 @@ func TestServerScanPathAllocGate(t *testing.T) {
 					step()
 				}
 				avg := testing.AllocsPerRun(512, step)
-				got := float64(ws.rangeKeys.Load()) / float64(ws.cmdMRange.Load())
+				got := float64(ws.n[cRangeKeys].Load()) / float64(ws.n[cCmdMRange].Load())
 				if got != wantKeys {
 					t.Fatalf("scan %q returned %.1f keys/scan, want %.0f", frame, got, wantKeys)
 				}

@@ -447,7 +447,7 @@ func TestClientSendGetNoKeys(t *testing.T) {
 	if e, ok, err := c.Get("k"); err != nil || !ok || string(e.Data) != "v" {
 		t.Fatalf("connection unusable after rejected SendGet: %v %v %q", ok, err, e.Data)
 	}
-	if t0 := s.wireTotals(); t0.protoErrors != 0 {
-		t.Fatalf("server saw %d protocol errors", t0.protoErrors)
+	if t0 := s.wireTotals(); t0.n[cProtoErrors] != 0 {
+		t.Fatalf("server saw %d protocol errors", t0.n[cProtoErrors])
 	}
 }

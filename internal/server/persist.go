@@ -63,7 +63,7 @@ func (s *Store) snapshotShard(sw *snapshot.Writer, sh int) error {
 	defer p.Unpin()
 	p.enter(sh)
 	var werr error
-	s.sm.Shard(sh).Snapshot(func(k string, it Item) bool {
+	s.sm.ShardSnapshot(sh, func(k string, it Item) bool {
 		if !s.live(it, p.now) {
 			return true // dead at the cut's instant: not part of the cut
 		}

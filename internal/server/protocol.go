@@ -15,7 +15,7 @@
 //     drains every complete frame a pipelining client has already buffered
 //     into one reused Batch — the free batch the server amortizes over.
 //   - store.go — memcached item semantics (flags, CAS tokens, lazy
-//     expiry, incr/decr) over ascylib.StringMap, i.e. over any registered
+//     expiry, incr/decr) over ascylib.ShardedStringMap, i.e. over any registered
 //     structure, with value blocks recycled through SSMEM epochs. Pins
 //     capture the clock once and carry the shard-grouped GetBatch scratch.
 //   - server.go — the TCP front: a sharded-accept worker pool, one

@@ -81,9 +81,6 @@ type Config struct {
 	// 64 KiB writes.
 	ReadBufferSize  int
 	WriteBufferSize int
-	// NoValuePooling disables SSMEM recycling of stored value blocks
-	// (see Store); by default the serving path recycles them.
-	NoValuePooling bool
 	// WriteTimeout bounds each TCP write; a connection that cannot accept
 	// bytes for this long is closed. Bounded writes matter beyond hygiene:
 	// a request's epoch pin spans its response staging, and an epoch that
@@ -244,7 +241,7 @@ func New(cfg Config) (*Server, error) {
 	} else if !a.Safe {
 		return nil, fmt.Errorf("server: algorithm %q is an unsynchronized async baseline; refusing to serve it", cfg.Algo)
 	}
-	st, err := NewStore(cfg.Algo, cfg.Capacity, !cfg.NoValuePooling, cfg.Shards, cfg.Ordered)
+	st, err := NewStore(cfg.Algo, cfg.Capacity, true, cfg.Shards, cfg.Ordered)
 	if err != nil {
 		return nil, err
 	}
@@ -610,15 +607,15 @@ func (s *Server) handleConn(c net.Conn) {
 // per touched shard instead of n.
 func (s *Server) executeBatch(b *Batch, w *respWriter, ws *wireStats) (closed bool) {
 	n := len(b.Entries)
-	ws.batches.Add(1)
-	ws.cmdBatched.Add(uint64(n))
+	ws.n[cBatches].Add(1)
+	ws.n[cCmdBatched].Add(uint64(n))
 	ws.batchHist[batchBucket(n)].Add(1)
 	p := s.store.Pin()
 	defer p.Unpin()
 	for i := range b.Entries {
 		e := &b.Entries[i]
 		if e.Err != nil {
-			ws.protoErrors.Add(1)
+			ws.n[cProtoErrors].Add(1)
 			if !e.Err.NoReply {
 				w.line(e.Err.Resp)
 			}
@@ -651,7 +648,7 @@ func batchBucket(n int) int {
 func (s *Server) execute(p Pin, cmd *Command, w *respWriter, ws *wireStats) {
 	switch cmd.Op {
 	case OpGet, OpGets:
-		ws.cmdGet.Add(1)
+		ws.n[cCmdGet].Add(1)
 		if s.cfg.ChaosPanicKey != "" {
 			for _, k := range cmd.Keys {
 				if string(k) == s.cfg.ChaosPanicKey {
@@ -666,32 +663,32 @@ func (s *Server) execute(p Pin, cmd *Command, w *respWriter, ws *wireStats) {
 			// order (see Store.GetBatch).
 			s.store.GetBatch(p, cmd.Keys, func(i int, it Item, ok bool) {
 				if !ok {
-					ws.getMisses.Add(1)
+					ws.n[cGetMisses].Add(1)
 					return
 				}
-				ws.getHits.Add(1)
+				ws.n[cGetHits].Add(1)
 				w.value(cmd.Keys[i], it, withCAS)
 			})
 		} else {
 			for _, k := range cmd.Keys {
 				it, ok := s.store.Get(p, k)
 				if !ok {
-					ws.getMisses.Add(1)
+					ws.n[cGetMisses].Add(1)
 					continue
 				}
-				ws.getHits.Add(1)
+				ws.n[cGetHits].Add(1)
 				w.value(k, it, withCAS)
 			}
 		}
 		w.line("END")
 
 	case OpSet:
-		ws.cmdSet.Add(1)
+		ws.n[cCmdSet].Add(1)
 		s.store.Set(p, cmd.Key, cmd.Flags, cmd.Exptime, cmd.Data)
 		w.reply(cmd, "STORED")
 
 	case OpAdd:
-		ws.cmdSet.Add(1)
+		ws.n[cCmdSet].Add(1)
 		if s.store.Add(p, cmd.Key, cmd.Flags, cmd.Exptime, cmd.Data) {
 			w.reply(cmd, "STORED")
 		} else {
@@ -699,7 +696,7 @@ func (s *Server) execute(p Pin, cmd *Command, w *respWriter, ws *wireStats) {
 		}
 
 	case OpReplace:
-		ws.cmdSet.Add(1)
+		ws.n[cCmdSet].Add(1)
 		if s.store.Replace(p, cmd.Key, cmd.Flags, cmd.Exptime, cmd.Data) {
 			w.reply(cmd, "STORED")
 		} else {
@@ -707,34 +704,34 @@ func (s *Server) execute(p Pin, cmd *Command, w *respWriter, ws *wireStats) {
 		}
 
 	case OpCas:
-		ws.cmdSet.Add(1)
+		ws.n[cCmdSet].Add(1)
 		switch s.store.CompareAndSwap(p, cmd.Key, cmd.Flags, cmd.Exptime, cmd.Data, cmd.CasID) {
 		case CasStored:
-			ws.casHits.Add(1)
+			ws.n[cCasHits].Add(1)
 			w.reply(cmd, "STORED")
 		case CasExists:
-			ws.casBadval.Add(1)
+			ws.n[cCasBadval].Add(1)
 			w.reply(cmd, "EXISTS")
 		default:
-			ws.casMisses.Add(1)
+			ws.n[cCasMisses].Add(1)
 			w.reply(cmd, "NOT_FOUND")
 		}
 
 	case OpDelete:
-		ws.cmdDelete.Add(1)
+		ws.n[cCmdDelete].Add(1)
 		if s.store.Delete(p, cmd.Key) {
-			ws.deleteHits.Add(1)
+			ws.n[cDeleteHits].Add(1)
 			w.reply(cmd, "DELETED")
 		} else {
-			ws.deleteMisses.Add(1)
+			ws.n[cDeleteMisses].Add(1)
 			w.reply(cmd, "NOT_FOUND")
 		}
 
 	case OpIncr, OpDecr:
 		incr := cmd.Op == OpIncr
-		cmds, hits, misses := &ws.cmdIncr, &ws.incrHits, &ws.incrMisses
+		cmds, hits, misses := &ws.n[cCmdIncr], &ws.n[cIncrHits], &ws.n[cIncrMisses]
 		if !incr {
-			cmds, hits, misses = &ws.cmdDecr, &ws.decrHits, &ws.decrMisses
+			cmds, hits, misses = &ws.n[cCmdDecr], &ws.n[cDecrHits], &ws.n[cDecrMisses]
 		}
 		cmds.Add(1)
 		nv, status := s.store.IncrDecr(p, cmd.Key, cmd.Delta, incr)
@@ -754,7 +751,7 @@ func (s *Server) execute(p Pin, cmd *Command, w *respWriter, ws *wireStats) {
 		}
 
 	case OpMRange:
-		ws.cmdMRange.Add(1)
+		ws.n[cCmdMRange].Add(1)
 		if !s.store.Ordered() {
 			w.line(respOrderedDisabled)
 			return
@@ -772,13 +769,13 @@ func (s *Server) execute(p Pin, cmd *Command, w *respWriter, ws *wireStats) {
 			w.valueStr(k, it, false)
 			return true
 		})
-		ws.rangeKeys.Add(uint64(n))
+		ws.n[cRangeKeys].Add(uint64(n))
 		w.line("END")
 
 	case OpMMin, OpMMax:
-		cnt := &ws.cmdMMin
+		cnt := &ws.n[cCmdMMin]
 		if cmd.Op == OpMMax {
-			cnt = &ws.cmdMMax
+			cnt = &ws.n[cCmdMMax]
 		}
 		cnt.Add(1)
 		if !s.store.Ordered() {
@@ -801,7 +798,7 @@ func (s *Server) execute(p Pin, cmd *Command, w *respWriter, ws *wireStats) {
 		w.line("END")
 
 	case OpMSnap:
-		ws.cmdMSnap.Add(1)
+		ws.n[cCmdMSnap].Add(1)
 		if s.cfg.SnapshotPath == "" {
 			w.line(respSnapshotDisabled)
 			return
@@ -836,7 +833,7 @@ func (s *Server) execute(p Pin, cmd *Command, w *respWriter, ws *wireStats) {
 			w.reply(cmd, "CLIENT_ERROR invalid flush_all delay")
 			return
 		}
-		ws.cmdFlush.Add(1)
+		ws.n[cCmdFlush].Add(1)
 		s.store.FlushAll(p, cmd.Exptime)
 		w.reply(cmd, "OK")
 	}
@@ -859,47 +856,27 @@ func (s *Server) Stats() [][2]string {
 		{"threads", strconv.Itoa(s.cfg.AcceptWorkers)},
 		{"curr_connections", strconv.FormatInt(s.currConns.Load(), 10)},
 		{"total_connections", u(s.totalConns.Load())},
-		{"bytes_read", u(t.bytesRead)},
-		{"bytes_written", u(t.bytesWritten)},
-		{"cmd_get", u(t.cmdGet)},
-		{"cmd_set", u(t.cmdSet)},
-		{"cmd_delete", u(t.cmdDelete)},
-		{"cmd_incr", u(t.cmdIncr)},
-		{"cmd_decr", u(t.cmdDecr)},
-		{"cmd_flush", u(t.cmdFlush)},
-		{"cmd_mrange", u(t.cmdMRange)},
-		{"cmd_mmin", u(t.cmdMMin)},
-		{"cmd_mmax", u(t.cmdMMax)},
-		{"cmd_msnap", u(t.cmdMSnap)},
-		{"range_keys_returned", u(t.rangeKeys)},
-		{"get_hits", u(t.getHits)},
-		{"get_misses", u(t.getMisses)},
-		{"delete_hits", u(t.deleteHits)},
-		{"delete_misses", u(t.deleteMisses)},
-		{"incr_hits", u(t.incrHits)},
-		{"incr_misses", u(t.incrMisses)},
-		{"decr_hits", u(t.decrHits)},
-		{"decr_misses", u(t.decrMisses)},
-		{"cas_hits", u(t.casHits)},
-		{"cas_misses", u(t.casMisses)},
-		{"cas_badval", u(t.casBadval)},
-		{"protocol_errors", u(t.protoErrors)},
-		{"handler_panics", u(s.panics.Load())},
-		{"conns_shed", u(s.shed.Load())},
-		{"curr_items", strconv.Itoa(s.store.Items())},
 	}
+	for c := wireCounter(0); c < cBatches; c++ {
+		pairs = append(pairs, [2]string{wireCounterNames[c], u(t.n[c])})
+	}
+	pairs = append(pairs,
+		[2]string{"handler_panics", u(s.panics.Load())},
+		[2]string{"conns_shed", u(s.shed.Load())},
+		[2]string{"curr_items", strconv.Itoa(s.store.Items())},
+	)
 	// Batch accounting: how well the pipelined bursts amortize. The depth
 	// histogram buckets are powers of two; batch_depth_avg is the achieved
 	// server-side batch depth (1.0 means no amortization — every command
 	// paid its own pin, epochs, and clock read).
-	batches, batched := t.batches, t.cmdBatched
+	batches, batched := t.n[cBatches], t.n[cCmdBatched]
 	avg := 0.0
 	if batches > 0 {
 		avg = float64(batched) / float64(batches)
 	}
 	pairs = append(pairs,
-		[2]string{"batches", u(batches)},
-		[2]string{"cmd_batched", u(batched)},
+		[2]string{wireCounterNames[cBatches], u(batches)},
+		[2]string{wireCounterNames[cCmdBatched], u(batched)},
 		[2]string{"batch_depth_avg", strconv.FormatFloat(avg, 'f', 2, 64)},
 	)
 	for i := range t.batchHist {
@@ -912,8 +889,8 @@ func (s *Server) Stats() [][2]string {
 		}
 		pairs = append(pairs, [2]string{name, u(t.batchHist[i])})
 	}
-	// Value-block pool counters (ASCY4 on the serving path); zero when
-	// pooling is disabled.
+	// Value-block pool counters (ASCY4 on the serving path): the server
+	// always recycles value blocks through per-shard SSMEM pools.
 	bs := s.store.BufStats()
 	pairs = append(pairs,
 		[2]string{"value_pool_allocs", u(bs.Allocs)},
@@ -970,7 +947,7 @@ func (r *connReader) Read(p []byte) (int, error) {
 	}
 	n, err := r.c.Read(p)
 	if n > 0 {
-		r.ws.bytesRead.Add(uint64(n))
+		r.ws.n[cBytesRead].Add(uint64(n))
 	}
 	return n, err
 }
@@ -990,7 +967,7 @@ func (w *connWriter) Write(p []byte) (int, error) {
 	}
 	n, err := w.c.Write(p)
 	if n > 0 {
-		w.ws.bytesWritten.Add(uint64(n))
+		w.ws.n[cBytesWritten].Add(uint64(n))
 	}
 	if err != nil && w.err == nil {
 		w.err = err

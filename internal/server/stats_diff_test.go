@@ -181,3 +181,35 @@ func compareStats(t *testing.T, keys []string, sharded, global map[string]string
 		}
 	}
 }
+
+// TestStatsNamesPinned pins the exact ordered list of names the stats
+// command reports, so a change to how the counters are kept cannot rename,
+// drop, add or reorder a line of its output.
+func TestStatsNamesPinned(t *testing.T) {
+	s := startServer(t, "ht-clht-lb")
+	want := []string{
+		"uptime", "time", "version", "pointer_size", "algo", "shards", "ordered",
+		"threads", "curr_connections", "total_connections",
+		"bytes_read", "bytes_written",
+		"cmd_get", "cmd_set", "cmd_delete", "cmd_incr", "cmd_decr", "cmd_flush",
+		"cmd_mrange", "cmd_mmin", "cmd_mmax", "cmd_msnap", "range_keys_returned",
+		"get_hits", "get_misses", "delete_hits", "delete_misses",
+		"incr_hits", "incr_misses", "decr_hits", "decr_misses",
+		"cas_hits", "cas_misses", "cas_badval", "protocol_errors",
+		"handler_panics", "conns_shed", "curr_items",
+		"batches", "cmd_batched", "batch_depth_avg",
+		"batch_depth_1", "batch_depth_2_3", "batch_depth_4_7", "batch_depth_8_15",
+		"batch_depth_16_31", "batch_depth_32_63", "batch_depth_64_127",
+		"batch_depth_128_255", "batch_depth_256_plus",
+		"value_pool_allocs", "value_pool_reused",
+		"snapshots_taken", "snapshot_last_unix", "snapshot_items", "snapshot_bytes",
+		"snapshot_errors", "loaded_items", "load_expired_skipped", "snapshot_load_ms",
+	}
+	var got []string
+	for _, kv := range s.Stats() {
+		got = append(got, kv[0])
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stats names changed:\n got %q\nwant %q", got, want)
+	}
+}

@@ -15,7 +15,7 @@ import (
 type Item struct {
 	// Flags is the client-opaque word stored with the value.
 	Flags uint32
-	// Data is the value block. With value pooling (the server default)
+	// Data is the value block. With value pooling (which the server uses)
 	// the block lives in an SSMEM buffer pool and is recycled once no
 	// pinned reader can still hold it; read it only under the Pin that
 	// produced it, or via a copy.
@@ -421,8 +421,8 @@ func (s *Store) GetBatch(p Pin, keys [][]byte, fn func(i int, it Item, ok bool))
 		fn(i, f.items[i], f.hits[i])
 	}
 	// Drop the staged Data references: the frame outlives the pin in the
-	// pool, and (with value pooling off) retained blocks would otherwise
-	// stay GC-reachable until the frame serves another batch this large.
+	// pool, and the blocks would otherwise stay reachable from it until the
+	// frame serves another batch this large.
 	for i := range f.items {
 		f.items[i] = Item{}
 	}
@@ -678,9 +678,8 @@ func (s *Store) flushShard(sh int) {
 	p := s.Pin()
 	defer p.Unpin()
 	p.enter(sh)
-	shard := s.sm.Shard(sh)
 	var keys []string
-	shard.ForEach(func(k string, it Item) bool {
+	s.sm.ShardSnapshot(sh, func(k string, it Item) bool {
 		if !s.live(it, p.now) {
 			keys = append(keys, k)
 		}
@@ -688,7 +687,7 @@ func (s *Store) flushShard(sh int) {
 	})
 	for _, k := range keys {
 		var retired []byte
-		shard.Update(k, func(old Item, present bool) (Item, bool) {
+		s.sm.Update(k, func(old Item, present bool) (Item, bool) {
 			retired = nil
 			keep := present && s.live(old, p.now)
 			if present && !keep {

@@ -30,68 +30,92 @@ import (
 type wireStats struct {
 	_ pad.CacheLinePad
 
-	cmdGet, cmdSet, cmdDelete, cmdIncr, cmdDecr, cmdFlush atomic.Uint64
-	cmdMRange, cmdMMin, cmdMMax, rangeKeys                atomic.Uint64
-	cmdMSnap                                              atomic.Uint64
-	getHits, getMisses                                    atomic.Uint64
-	deleteHits, deleteMisses                              atomic.Uint64
-	incrHits, incrMisses                                  atomic.Uint64
-	decrHits, decrMisses                                  atomic.Uint64
-	casHits, casMisses, casBadval                         atomic.Uint64
-	protoErrors                                           atomic.Uint64
-	bytesRead, bytesWritten                               atomic.Uint64
-	batches, cmdBatched                                   atomic.Uint64
-	batchHist                                             [batchHistBuckets]atomic.Uint64
+	n         [numWireCounters]atomic.Uint64
+	batchHist [batchHistBuckets]atomic.Uint64
 
 	_ pad.CacheLinePad
+}
+
+// wireCounter indexes one wire counter in wireStats.n. A counter is its
+// constant here and its name in wireCounterNames; Stats renders the
+// counters before cBatches in this order, and the batch counters next to
+// the batch-depth histogram.
+type wireCounter int
+
+const (
+	cBytesRead wireCounter = iota
+	cBytesWritten
+	cCmdGet
+	cCmdSet
+	cCmdDelete
+	cCmdIncr
+	cCmdDecr
+	cCmdFlush
+	cCmdMRange
+	cCmdMMin
+	cCmdMMax
+	cCmdMSnap
+	cRangeKeys
+	cGetHits
+	cGetMisses
+	cDeleteHits
+	cDeleteMisses
+	cIncrHits
+	cIncrMisses
+	cDecrHits
+	cDecrMisses
+	cCasHits
+	cCasMisses
+	cCasBadval
+	cProtoErrors
+	cBatches
+	cCmdBatched
+	numWireCounters
+)
+
+// wireCounterNames is each counter's name in the stats output.
+var wireCounterNames = [numWireCounters]string{
+	cBytesRead:    "bytes_read",
+	cBytesWritten: "bytes_written",
+	cCmdGet:       "cmd_get",
+	cCmdSet:       "cmd_set",
+	cCmdDelete:    "cmd_delete",
+	cCmdIncr:      "cmd_incr",
+	cCmdDecr:      "cmd_decr",
+	cCmdFlush:     "cmd_flush",
+	cCmdMRange:    "cmd_mrange",
+	cCmdMMin:      "cmd_mmin",
+	cCmdMMax:      "cmd_mmax",
+	cCmdMSnap:     "cmd_msnap",
+	cRangeKeys:    "range_keys_returned",
+	cGetHits:      "get_hits",
+	cGetMisses:    "get_misses",
+	cDeleteHits:   "delete_hits",
+	cDeleteMisses: "delete_misses",
+	cIncrHits:     "incr_hits",
+	cIncrMisses:   "incr_misses",
+	cDecrHits:     "decr_hits",
+	cDecrMisses:   "decr_misses",
+	cCasHits:      "cas_hits",
+	cCasMisses:    "cas_misses",
+	cCasBadval:    "cas_badval",
+	cProtoErrors:  "protocol_errors",
+	cBatches:      "batches",
+	cCmdBatched:   "cmd_batched",
 }
 
 // wireTotals is the aggregated, plain-value form of the counters — what the
 // stats command renders.
 type wireTotals struct {
-	cmdGet, cmdSet, cmdDelete, cmdIncr, cmdDecr, cmdFlush uint64
-	cmdMRange, cmdMMin, cmdMMax, rangeKeys                uint64
-	cmdMSnap                                              uint64
-	getHits, getMisses                                    uint64
-	deleteHits, deleteMisses                              uint64
-	incrHits, incrMisses                                  uint64
-	decrHits, decrMisses                                  uint64
-	casHits, casMisses, casBadval                         uint64
-	protoErrors                                           uint64
-	bytesRead, bytesWritten                               uint64
-	batches, cmdBatched                                   uint64
-	batchHist                                             [batchHistBuckets]uint64
+	n         [numWireCounters]uint64
+	batchHist [batchHistBuckets]uint64
 }
 
 // addInto accumulates the slot's counters into t.
 func (w *wireStats) addInto(t *wireTotals) {
-	t.cmdGet += w.cmdGet.Load()
-	t.cmdSet += w.cmdSet.Load()
-	t.cmdDelete += w.cmdDelete.Load()
-	t.cmdIncr += w.cmdIncr.Load()
-	t.cmdDecr += w.cmdDecr.Load()
-	t.cmdFlush += w.cmdFlush.Load()
-	t.cmdMRange += w.cmdMRange.Load()
-	t.cmdMMin += w.cmdMMin.Load()
-	t.cmdMMax += w.cmdMMax.Load()
-	t.rangeKeys += w.rangeKeys.Load()
-	t.cmdMSnap += w.cmdMSnap.Load()
-	t.getHits += w.getHits.Load()
-	t.getMisses += w.getMisses.Load()
-	t.deleteHits += w.deleteHits.Load()
-	t.deleteMisses += w.deleteMisses.Load()
-	t.incrHits += w.incrHits.Load()
-	t.incrMisses += w.incrMisses.Load()
-	t.decrHits += w.decrHits.Load()
-	t.decrMisses += w.decrMisses.Load()
-	t.casHits += w.casHits.Load()
-	t.casMisses += w.casMisses.Load()
-	t.casBadval += w.casBadval.Load()
-	t.protoErrors += w.protoErrors.Load()
-	t.bytesRead += w.bytesRead.Load()
-	t.bytesWritten += w.bytesWritten.Load()
-	t.batches += w.batches.Load()
-	t.cmdBatched += w.cmdBatched.Load()
+	for i := range w.n {
+		t.n[i] += w.n[i].Load()
+	}
 	for i := range w.batchHist {
 		t.batchHist[i] += w.batchHist[i].Load()
 	}

@@ -25,13 +25,12 @@ type IntKey interface {
 // algorithm. It replaces the hand-rolled key-hash + value-arena code the
 // examples used to carry.
 //
-// Values: when V is exactly uint64 (or Value), values ride directly in the
-// structure's 64-bit value word — the zero-overhead word mode. Any other V
-// is boxed: the word is a generation-tagged handle to a slot that points at
-// an immutable box holding V. An overwrite CASes a fresh box into the slot
-// and never writes the structure, so a concurrent Get cannot miss a key
-// being overwritten, and a stale handle reads as a miss, never as another
-// key's value.
+// Values: every V is boxed. The structure's value word is a
+// generation-tagged handle to a slot that points at an immutable box holding
+// V. An overwrite CASes a fresh box into the slot and never writes the
+// structure, so a concurrent Get cannot miss a key being overwritten, and a
+// stale handle reads as a miss, never as another key's value. V = uint64
+// pays the same box and slot per entry as any other V.
 //
 // Keys: the two largest values of a 64-bit key domain (e.g. MaxUint64 and
 // MaxUint64-1 for K = uint64, MaxInt64 and MaxInt64-1 for K = int64) are
@@ -39,18 +38,15 @@ type IntKey interface {
 // are unaffected.
 //
 // All operations are safe for concurrent use when the backing algorithm is
-// (registry Safe flag). With boxed values every per-key operation is atomic
-// against every other. In word mode Update's atomicity follows the backing
-// algorithm's capability: native (e.g. ht-clht-lb) is atomic against
-// everything; fallback Updates are atomic against each other through this
-// Map.
+// (registry Safe flag), and every per-key operation is atomic against every
+// other.
 type Map[K IntKey, V any] struct {
 	set    core.Extended
 	raw    core.Set // the unwrapped structure (recycling stats, snapshots)
 	ord    core.Ordered
 	native bool
 	signed bool
-	slots  *slotTable[V] // nil in word mode
+	slots  slotTable[V]
 }
 
 // NewMap builds a typed map on the named algorithm ("ht-clht-lf" and
@@ -62,20 +58,13 @@ func NewMap[K IntKey, V any](algo string, opts ...Option) (*Map[K, V], error) {
 	}
 	ord, native := core.OrderedOf(s)
 	var zk K
-	m := &Map[K, V]{
+	return &Map[K, V]{
 		set:    core.Extend(s),
 		raw:    s,
 		ord:    ord,
 		native: native,
 		signed: zk-1 < zk,
-	}
-	var zv V
-	switch any(zv).(type) {
-	case uint64, core.Value:
-	default:
-		m.slots = &slotTable[V]{}
-	}
-	return m, nil
+	}, nil
 }
 
 // MustNewMap is NewMap, panicking on error.
@@ -109,35 +98,10 @@ func (m *Map[K, V]) dec(c core.Key) K {
 	return K(u)
 }
 
-// toWord and fromWord carry a word-mode value (V is uint64 or Value) in
-// the structure's value word; fromWord decodes a missing entry to zero.
-func toWord[V any](v V) core.Value {
-	if x, ok := any(v).(uint64); ok {
-		return core.Value(x)
-	}
-	return any(v).(core.Value)
-}
-
-func fromWord[V any](w core.Value, ok bool) (V, bool) {
-	var v V
-	if !ok {
-		return v, false
-	}
-	if _, isU64 := any(v).(uint64); isU64 {
-		return any(uint64(w)).(V), true
-	}
-	return any(w).(V), true
-}
-
-// load decodes a value word read from the structure. ok is false only with
-// boxed values, when the word's slot has been retired since the word was
-// read: the entry is gone and its slot may already serve another key.
-func (m *Map[K, V]) load(w core.Value) (V, bool) {
-	if m.slots == nil {
-		return fromWord[V](w, true)
-	}
-	return deref(m.slots.load(w))
-}
+// load decodes a value word read from the structure. ok is false when the
+// word's slot has been retired since the word was read: the entry is gone
+// and its slot may already serve another key.
+func (m *Map[K, V]) load(w core.Value) (V, bool) { return deref(m.slots.load(w)) }
 
 func deref[V any](p *V) (V, bool) {
 	if p == nil {
@@ -148,18 +112,10 @@ func deref[V any](p *V) (V, bool) {
 }
 
 // Get returns the value stored under k.
-func (m *Map[K, V]) Get(k K) (V, bool) {
-	if m.slots == nil {
-		return fromWord[V](m.set.Search(m.enc(k)))
-	}
-	return deref(m.lookup(k))
-}
+func (m *Map[K, V]) Get(k K) (V, bool) { return deref(m.lookup(k)) }
 
 // Insert adds (k, v) if k is absent and reports whether it did.
 func (m *Map[K, V]) Insert(k K, v V) bool {
-	if m.slots == nil {
-		return m.set.Insert(m.enc(k), toWord(v))
-	}
 	inserted := false
 	m.publish(k, func(cur *V) (*V, bool) {
 		inserted = cur == nil
@@ -169,20 +125,9 @@ func (m *Map[K, V]) Insert(k K, v V) bool {
 }
 
 // Put stores v under k, replacing any existing value (upsert). It reports
-// whether the key was fresh. A boxed value is replaced in its slot, with no
-// window in which the key is absent. In word mode, on algorithms without
-// native Update (see Capabilities), replacement is remove-then-insert, so a
-// concurrent Get of the same key can briefly miss; ht-clht-lb replaces in
-// place with no window.
+// whether the key was fresh. The value is replaced in its slot, with no
+// window in which the key is absent.
 func (m *Map[K, V]) Put(k K, v V) bool {
-	if m.slots == nil {
-		w, had := toWord(v), false
-		m.set.Update(m.enc(k), func(_ core.Value, present bool) (core.Value, bool) {
-			had = present
-			return w, true
-		})
-		return !had
-	}
 	fresh := false
 	m.publish(k, func(cur *V) (*V, bool) {
 		fresh = cur == nil
@@ -193,11 +138,6 @@ func (m *Map[K, V]) Put(k K, v V) bool {
 
 // GetOrInsert returns the existing value for k, or stores and returns v.
 func (m *Map[K, V]) GetOrInsert(k K, v V) (V, bool) {
-	if m.slots == nil {
-		got, inserted := m.set.GetOrInsert(m.enc(k), toWord(v))
-		gv, _ := fromWord[V](got, true)
-		return gv, inserted
-	}
 	got, inserted := v, false
 	m.publish(k, func(cur *V) (*V, bool) {
 		if cur != nil {
@@ -214,15 +154,9 @@ func (m *Map[K, V]) GetOrInsert(k K, v V) (V, bool) {
 // value (present reports existence) and returns the new value and whether
 // the key should remain present. It returns the value after the update and
 // the resulting presence. f must be pure and must not call back into the
-// map: it may run more than once, and with native algorithms in word mode
-// it runs under the structure's own lock.
+// map: it may run more than once, and only the run whose result is
+// published counts.
 func (m *Map[K, V]) Update(k K, f func(old V, present bool) (V, bool)) (V, bool) {
-	if m.slots == nil {
-		return fromWord[V](m.set.Update(m.enc(k), func(w core.Value, present bool) (core.Value, bool) {
-			nv, keep := f(fromWord[V](w, present))
-			return toWord(nv), keep
-		}))
-	}
 	var out V
 	var present bool
 	m.publish(k, func(cur *V) (*V, bool) {
@@ -240,9 +174,6 @@ func (m *Map[K, V]) Update(k K, f func(old V, present bool) (V, bool)) (V, bool)
 
 // Delete removes k, returning the removed value.
 func (m *Map[K, V]) Delete(k K) (V, bool) {
-	if m.slots == nil {
-		return fromWord[V](m.set.Remove(m.enc(k)))
-	}
 	var old V
 	var had bool
 	m.publish(k, func(cur *V) (*V, bool) {
@@ -252,7 +183,7 @@ func (m *Map[K, V]) Delete(k K) (V, bool) {
 	return old, had
 }
 
-// lookup is the boxed read path, shared with StringMap: one core search and
+// lookup is the read path, shared with ShardedStringMap: one core search and
 // one slot load, with no lock and no store. nil means k is absent.
 func (m *Map[K, V]) lookup(k K) *V {
 	w, ok := m.set.Search(m.enc(k))
@@ -262,7 +193,7 @@ func (m *Map[K, V]) lookup(k K) *V {
 	return m.slots.load(w)
 }
 
-// publish is the boxed write path, shared with StringMap (whose entries are
+// publish is the write path, shared with ShardedStringMap (whose entries are
 // collision chains). f maps k's current entry (nil when k is absent) to the
 // immutable entry that replaces it (nil removes k) and reports whether to
 // write at all; it may run more than once, and only the run whose result is

@@ -85,6 +85,42 @@ func TestStringMapOverwriteNeverMisses(t *testing.T) {
 	})
 }
 
+// TestMapOverwriteNeverMisses is the same probe through a Map[uint64,
+// uint64]: an integer map's values live in slots like every other V, so a
+// Put of a present key CASes its slot and a concurrent Get always hits.
+func TestMapOverwriteNeverMisses(t *testing.T) {
+	reads := 200_000
+	if testing.Short() {
+		reads = 20_000
+	}
+	for _, a := range core.All() {
+		if !a.Safe {
+			continue
+		}
+		t.Run(a.Name, func(t *testing.T) {
+			m, err := ascylib.NewMap[uint64, uint64](a.Name, ascylib.Capacity(128))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(0); k < 64; k++ {
+				m.Put(k, k)
+			}
+			v := uint64(0)
+			misses := probeOverwrite(reads, func() {
+				v++
+				m.Put(33, v)
+			}, func() bool {
+				_, ok := m.Get(33)
+				return ok
+			})
+			if misses != 0 {
+				t.Fatalf("%d of %d reads missed the overwritten key (%.3f%%)",
+					misses, reads, 100*float64(misses)/float64(reads))
+			}
+		})
+	}
+}
+
 // probeOverwrite runs overwrite in a loop on one goroutine while it calls
 // read reads times on the caller's, and returns how many reads missed.
 func probeOverwrite(reads int, overwrite func(), read func() bool) int {

@@ -23,9 +23,6 @@ func TestShardedStringMapBasic(t *testing.T) {
 					t.Fatalf("Insert %s failed", k)
 				}
 				sh, h := m.RouteBytes([]byte(k))
-				if v, ok := m.Shard(sh).Get(k); !ok || v != i {
-					t.Fatalf("RouteBytes(%s) names shard %d, which holds (%d,%v)", k, sh, v, ok)
-				}
 				if v, ok := m.GetBytesHashed(sh, h, []byte(k)); !ok || v != i {
 					t.Fatalf("GetBytesHashed(RouteBytes(%s)) = (%d,%v)", k, v, ok)
 				}
@@ -33,11 +30,18 @@ func TestShardedStringMapBasic(t *testing.T) {
 			if got := m.Len(); got != n {
 				t.Fatalf("Len = %d, want %d", got, n)
 			}
-			// Every shard must hold a share, and the shards must sum to the
-			// whole (the router and the Shard accessor see the same maps).
+			// Every shard must hold a share, every key must sit in the shard
+			// RouteBytes names, and the shards must sum to the whole.
 			sum := 0
 			for i := 0; i < m.NumShards(); i++ {
-				l := m.Shard(i).Len()
+				l := 0
+				m.ShardSnapshot(i, func(k string, _ int) bool {
+					if sh, _ := m.RouteBytes([]byte(k)); sh != i {
+						t.Fatalf("shard %d holds %s, which RouteBytes names shard %d", i, k, sh)
+					}
+					l++
+					return true
+				})
 				if l == 0 {
 					t.Fatalf("shard %d is empty after %d inserts", i, n)
 				}

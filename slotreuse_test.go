@@ -94,7 +94,7 @@ func TestSlotReuseChurn(t *testing.T) {
 				})
 				clear(seen)
 				for sh := 0; sh < m.NumShards(); sh++ {
-					m.Shard(sh).Snapshot(func(k string, _ uint64) bool {
+					m.ShardSnapshot(sh, func(k string, _ uint64) bool {
 						if seen[k] {
 							t.Errorf("Snapshot yielded %q twice", k)
 						}

@@ -9,7 +9,7 @@ import (
 func TestStringMapBasic(t *testing.T) {
 	for _, algo := range []string{"ht-clht-lb", "ht-clht-lf", "sl-fraser-opt"} {
 		t.Run(algo, func(t *testing.T) {
-			m := MustNewStringMap[string](algo, Capacity(64))
+			m := MustNewShardedStringMap[string](algo, 1, Capacity(64))
 			if _, ok := m.Get("missing"); ok {
 				t.Fatal("Get on empty map reported a hit")
 			}
@@ -56,7 +56,7 @@ func TestStringMapBasic(t *testing.T) {
 }
 
 func TestStringMapUpdateCounter(t *testing.T) {
-	m := MustNewStringMap[int]("ht-clht-lb", Capacity(64))
+	m := MustNewShardedStringMap[int]("ht-clht-lb", 1, Capacity(64))
 	const workers, rounds = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -76,7 +76,7 @@ func TestStringMapUpdateCounter(t *testing.T) {
 
 func TestStringMapManyKeys(t *testing.T) {
 	// Enough keys on a tiny table to exercise hash-chain collisions.
-	m := MustNewStringMap[int]("ht-clht-lb", Capacity(4))
+	m := MustNewShardedStringMap[int]("ht-clht-lb", 1, Capacity(4))
 	const n = 2000
 	for i := 0; i < n; i++ {
 		if !m.Insert(fmt.Sprintf("key-%d", i), i) {
@@ -109,7 +109,7 @@ func TestStringMapManyKeys(t *testing.T) {
 func TestStringMapBytesPaths(t *testing.T) {
 	for _, algo := range []string{"ht-clht-lb", "ht-clht-lf", "sl-fraser-opt"} {
 		t.Run(algo, func(t *testing.T) {
-			m := MustNewStringMap[string](algo, Capacity(64))
+			m := MustNewShardedStringMap[string](algo, 1, Capacity(64))
 			// Fresh insert through the bytes path materializes the key once.
 			m.UpdateBytes([]byte("alpha"), func(_ string, present bool) (string, bool) {
 				if present {
@@ -158,7 +158,7 @@ func TestStringMapGetBytesZeroAlloc(t *testing.T) {
 	}
 	for _, algo := range []string{"ht-clht-lb", "ht-clht-lf"} {
 		t.Run(algo, func(t *testing.T) {
-			m := MustNewStringMap[uint64](algo, Capacity(256))
+			m := MustNewShardedStringMap[uint64](algo, 1, Capacity(256))
 			key := []byte("benchmark-key")
 			m.UpdateBytes(key, func(_ uint64, _ bool) (uint64, bool) { return 42, true })
 			var v uint64
@@ -180,7 +180,7 @@ func TestStringMapGetBytesZeroAlloc(t *testing.T) {
 // readers may hold it (values read back must always be internally
 // consistent).
 func TestStringMapUpdateStagingIsolated(t *testing.T) {
-	m := MustNewStringMap[[2]uint64]("ht-clht-lb", Capacity(64))
+	m := MustNewShardedStringMap[[2]uint64]("ht-clht-lb", 1, Capacity(64))
 	const writers, rounds = 4, 2000
 	var readerErr error
 	stop := make(chan struct{})
