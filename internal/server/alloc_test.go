@@ -25,8 +25,9 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestServerGetPathZeroAlloc is the PR's end-to-end allocation gate: a
-// pipelined get hit — ReadCommandInto → Store.Get → VALUE staging — must
+// TestServerGetPathZeroAlloc is the end-to-end allocation gate: a
+// per-command get hit (MaxBatch 1) — ReadBatchInto → a run of one through
+// getRun → Store.Get → VALUE staging — must
 // perform zero heap allocations per request in steady state, for both the
 // hash-table headliner and an SSMEM-recycling ordered backend, and with the
 // keyspace sharded (the per-shard pin routing runs on pooled frames, so
@@ -57,15 +58,12 @@ func TestServerGetPathZeroAlloc(t *testing.T) {
 			br := bufio.NewReaderSize(&repeatReader{frame: []byte("get hotkey\r\n")}, 1<<16)
 			bw := newWriter(io.Discard, 0)
 			ws := s.acquireWireStats()
-			var cmd Command
-			var sc Scratch
+			var b Batch
 			step := func() {
-				if err := ReadCommandInto(br, DefaultMaxItemSize, &cmd, &sc); err != nil {
+				if _, err := ReadBatchInto(br, DefaultMaxItemSize, 1, &b); err != nil {
 					t.Fatal(err)
 				}
-				p := s.store.Pin()
-				s.execute(p, &cmd, bw, ws)
-				p.Unpin()
+				s.executeBatch(&b, bw, ws)
 			}
 			for i := 0; i < 64; i++ {
 				step() // reach steady state (scratch sized, pools primed)
@@ -82,14 +80,34 @@ func TestServerGetPathZeroAlloc(t *testing.T) {
 }
 
 // TestServerBatchedGetPathZeroAlloc is the batch-path allocation gate: a
-// deep pipelined burst — ReadBatchInto over 64 buffered get frames
-// (single-key and shard-grouped multi-key), executed under one pin — must
-// stay at zero heap allocations per batch in steady state. This is the PR 3
-// invariant carried onto the amortized path: batching must not buy its
-// speed with per-command garbage.
+// deep pipelined burst — ReadBatchInto over 63 buffered get frames, one run
+// of gets executed as staged lookups under one pin — must stay at zero heap
+// allocations per batch in steady state: the per-command path's invariant
+// carried onto the amortized path, so batching cannot buy its speed with
+// per-command garbage. Two bursts: a hot one (one key over and over, plus a
+// multi-get spanning every shard) and a cold one whose runs walk 4,096
+// distinct keys through get, gets and multi-key gets.
 func TestServerBatchedGetPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops Puts at random, so Pin() itself allocates")
+	}
+	const distinct = 4096
+	// The cold burst: every key once per pass of the frame, in commands of
+	// 1 (get), 1 (gets) and 6 (gets) keys.
+	var cold []byte
+	for i, c := 0, 0; i < distinct; c++ {
+		verb, n := "get", 1
+		switch c % 3 {
+		case 1:
+			verb = "gets"
+		case 2:
+			verb, n = "gets", 6
+		}
+		cold = append(cold, verb...)
+		for ; n > 0 && i < distinct; n, i = n-1, i+1 {
+			cold = append(cold, fmt.Sprintf(" d%04d", i)...)
+		}
+		cold = append(cold, "\r\n"...)
 	}
 	for _, tc := range []struct {
 		algo   string
@@ -109,38 +127,46 @@ func TestServerBatchedGetPathZeroAlloc(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				s.store.Set(p, []byte(fmt.Sprintf("key%d", i)), 7, 0, bytes.Repeat([]byte("v"), 100))
 			}
+			for i := 0; i < distinct; i++ {
+				s.store.Set(p, []byte(fmt.Sprintf("d%04d", i)), 7, 0, bytes.Repeat([]byte("v"), 64))
+			}
 			p.Unpin()
 			// 62 single-key gets plus one 8-key multi-get: 63 commands per
 			// burst, every one a hit, the multi-get spanning every shard.
-			frame := bytes.Repeat([]byte("get key1\r\n"), 62)
-			frame = append(frame, []byte("get key0 key1 key2 key3 key4 key5 key6 key7\r\n")...)
-			br := bufio.NewReaderSize(&repeatReader{frame: frame}, 1<<16)
-			bw := newWriter(io.Discard, 0)
-			ws := s.acquireWireStats()
-			var b Batch
-			step := func() {
-				n, err := ReadBatchInto(br, DefaultMaxItemSize, 63, &b)
-				if err != nil {
-					t.Fatal(err)
+			hot := bytes.Repeat([]byte("get key1\r\n"), 62)
+			hot = append(hot, []byte("get key0 key1 key2 key3 key4 key5 key6 key7\r\n")...)
+			for _, burst := range []struct {
+				name  string
+				frame []byte
+			}{{"hot", hot}, {"cold", cold}} {
+				br := bufio.NewReaderSize(&repeatReader{frame: burst.frame}, 1<<16)
+				bw := newWriter(io.Discard, 0)
+				ws := s.acquireWireStats()
+				var b Batch
+				step := func() {
+					n, err := ReadBatchInto(br, DefaultMaxItemSize, 63, &b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n == 0 {
+						t.Fatal("empty batch")
+					}
+					if s.executeBatch(&b, bw, ws) {
+						t.Fatal("batch asked to close the connection")
+					}
 				}
-				if n == 0 {
-					t.Fatal("empty batch")
+				for i := 0; i < 32; i++ {
+					step() // steady state: batch tables sized, pools primed
 				}
-				if s.executeBatch(&b, bw, ws) {
-					t.Fatal("batch asked to close the connection")
+				if avg := testing.AllocsPerRun(256, step); avg != 0 {
+					t.Fatalf("%s batched get burst allocates %.2f/batch, want 0", burst.name, avg)
 				}
-			}
-			for i := 0; i < 32; i++ {
-				step() // steady state: batch tables sized, pools primed
-			}
-			if avg := testing.AllocsPerRun(256, step); avg != 0 {
-				t.Fatalf("batched get burst allocates %.2f/batch, want 0", avg)
-			}
-			if ws.n[cGetMisses].Load() != 0 {
-				t.Fatalf("gate keys missed: misses=%d", ws.n[cGetMisses].Load())
-			}
-			if got := ws.n[cCmdBatched].Load() / ws.n[cBatches].Load(); got < 32 {
-				t.Fatalf("achieved batch depth %d, want >= 32 (batching not engaged)", got)
+				if ws.n[cGetMisses].Load() != 0 {
+					t.Fatalf("%s gate keys missed: misses=%d", burst.name, ws.n[cGetMisses].Load())
+				}
+				if got := ws.n[cCmdBatched].Load() / ws.n[cBatches].Load(); got < 32 {
+					t.Fatalf("%s achieved batch depth %d, want >= 32 (batching not engaged)", burst.name, got)
+				}
 			}
 		})
 	}

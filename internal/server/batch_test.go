@@ -278,7 +278,12 @@ func collectResponses(t *testing.T, algo string, shards, maxBatch int, stream []
 // malformed frames mid-batch. Everything emitted is deterministic to
 // execute (no stats/uptime, no wall-clock-sensitive expiry), so two servers
 // fed the same stream must answer identically byte for byte.
-func genStream(rng *xrand.State, n int, withFatal bool) []byte {
+//
+// getHeavy switches to streams made of long runs of get, gets and
+// multi-key gets (the runs the server stages as one lookup), each run
+// broken by a set or delete of a key it just read, an already-expired
+// store, a flush_all, or a keyless get (an error entry).
+func genStream(rng *xrand.State, n int, withFatal, getHeavy bool) []byte {
 	var b strings.Builder
 	key := func() string { return fmt.Sprintf("k%d", rng.Uint64n(24)) }
 	noreply := func() string {
@@ -286,6 +291,10 @@ func genStream(rng *xrand.State, n int, withFatal bool) []byte {
 			return " noreply"
 		}
 		return ""
+	}
+	if getHeavy {
+		genGetRuns(&b, rng, n, key)
+		n = 0
 	}
 	for i := 0; i < n; i++ {
 		switch rng.Uint64n(12) {
@@ -335,6 +344,41 @@ func genStream(rng *xrand.State, n int, withFatal bool) []byte {
 	return []byte(b.String())
 }
 
+// genGetRuns writes genStream's get-heavy body: n commands, nearly all of
+// them reads, so most batches hold runs of dozens of gets.
+func genGetRuns(b *strings.Builder, rng *xrand.State, n int, key func() string) {
+	last := key() // a key the current run has read
+	for i := 0; i < n; i++ {
+		verb := "get"
+		if rng.Uint64n(3) == 0 {
+			verb = "gets"
+		}
+		switch r := rng.Uint64n(64); {
+		case r < 34:
+			last = key()
+			fmt.Fprintf(b, "%s %s\r\n", verb, last)
+		case r < 52:
+			b.WriteString(verb)
+			for j := 1 + rng.Uint64n(20); j > 0; j-- {
+				last = key()
+				b.WriteString(" " + last)
+			}
+			b.WriteString("\r\n")
+		case r < 58:
+			val := strings.Repeat("w", int(rng.Uint64n(40)))
+			fmt.Fprintf(b, "set %s %d 0 %d\r\n%s\r\n", last, rng.Uint64n(100), len(val), val)
+		case r < 60:
+			fmt.Fprintf(b, "delete %s\r\n", last)
+		case r < 61:
+			fmt.Fprintf(b, "set %s 0 -1 2\r\nxx\r\n", key()) // stored already expired
+		case r < 63:
+			b.WriteString("get\r\n")
+		case rng.Uint64n(2) == 0:
+			b.WriteString("flush_all 0\r\n")
+		}
+	}
+}
+
 // TestBatchedExecutionMatchesSerial is the PR's differential gate: for
 // randomized pipelined streams, a batching server must produce responses
 // byte-identical to the per-command (MaxBatch 1) server — same hits, same
@@ -352,9 +396,15 @@ func TestBatchedExecutionMatchesSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s-%d", tc.algo, tc.shards), func(t *testing.T) {
-			for seed := uint64(1); seed <= 4; seed++ {
+			for seed := uint64(1); seed <= 8; seed++ {
+				// Seeds 5-8 are get-heavy: long staged runs.
+				heavy := seed > 4
+				n := 150
+				if heavy {
+					n = 400
+				}
 				rng := xrand.New(seed)
-				stream := genStream(rng, 150, seed == 4)
+				stream := genStream(rng, n, seed%4 == 0, heavy)
 				// Serial reference: one whole-stream write. Batched: both
 				// a whole-stream write (maximal batches) and a dribbled
 				// one (batch boundaries land mid-frame).

@@ -17,7 +17,8 @@
 //   - store.go — memcached item semantics (flags, CAS tokens, lazy
 //     expiry, incr/decr) over ascylib.ShardedStringMap, i.e. over any registered
 //     structure, with value blocks recycled through SSMEM epochs. Pins
-//     capture the clock once and carry the shard-grouped GetBatch scratch.
+//     capture the clock once; GetBatch serves a run of gets as one staged
+//     lookup.
 //   - server.go — the TCP front: a sharded-accept worker pool, one
 //     goroutine per connection, per-connection read/write buffering, and
 //     pipelining: requests execute in batches under a single store pin

@@ -604,7 +604,8 @@ func (s *Server) handleConn(c net.Conn) {
 // every response value into the write buffer — so a value block handed out
 // by Get cannot be recycled before its bytes are copied out, and a batch of
 // n commands costs one pin-frame round-trip and at most one epoch bracket
-// per touched shard instead of n.
+// per touched shard instead of n. Every get and gets takes one path: each
+// maximal run of them executes through getRun as staged lookups.
 func (s *Server) executeBatch(b *Batch, w *respWriter, ws *wireStats) (closed bool) {
 	n := len(b.Entries)
 	ws.n[cBatches].Add(1)
@@ -612,8 +613,17 @@ func (s *Server) executeBatch(b *Batch, w *respWriter, ws *wireStats) (closed bo
 	ws.batchHist[batchBucket(n)].Add(1)
 	p := s.store.Pin()
 	defer p.Unpin()
-	for i := range b.Entries {
+	for i := 0; i < len(b.Entries); i++ {
 		e := &b.Entries[i]
+		if isGet(e) {
+			j := i + 1
+			for j < len(b.Entries) && isGet(&b.Entries[j]) {
+				j++
+			}
+			s.getRun(p, b.Entries[i:j], w, ws)
+			i = j - 1
+			continue
+		}
 		if e.Err != nil {
 			ws.n[cProtoErrors].Add(1)
 			if !e.Err.NoReply {
@@ -632,6 +642,56 @@ func (s *Server) executeBatch(b *Batch, w *respWriter, ws *wireStats) (closed bo
 	return false
 }
 
+// isGet reports whether e is a get or gets command: the entries a get run
+// is made of. An error entry, a write or a quit ends the run.
+func isGet(e *BatchEntry) bool {
+	return e.Err == nil && (e.Cmd.Op == OpGet || e.Cmd.Op == OpGets)
+}
+
+// getRun serves a maximal run of get/gets commands, single- and multi-key
+// alike, as one staged lookup: the keys of consecutive commands are
+// gathered getChunk at a time and each window goes to Store.GetBatch, so
+// the cache misses of a pipelined burst overlap instead of being paid one
+// get at a time. Responses come back in request order, each command's
+// VALUE stanzas closed by its own END. Under ASCY1 a get performs only
+// loads, and the run holds no write, so the staged reads answer exactly as
+// per-command execution would (see Store.GetBatch). The parser gives every
+// get command at least one key.
+func (s *Server) getRun(p Pin, run []BatchEntry, w *respWriter, ws *wireStats) {
+	// The next key to answer is run[e].Cmd.Keys[k].
+	e, k := 0, 0
+	emit := func(_ int, it Item, ok bool) {
+		cmd := &run[e].Cmd
+		if ok {
+			ws.n[cGetHits].Add(1)
+			w.value(cmd.Keys[k], it, cmd.Op == OpGets)
+		} else {
+			ws.n[cGetMisses].Add(1)
+		}
+		if k++; k == len(cmd.Keys) {
+			w.line("END")
+			e, k = e+1, 0
+		}
+	}
+	var win [getChunk][]byte
+	n := 0
+	for i := range run {
+		cmd := &run[i].Cmd
+		ws.n[cCmdGet].Add(1)
+		for _, key := range cmd.Keys {
+			if s.cfg.ChaosPanicKey != "" && string(key) == s.cfg.ChaosPanicKey {
+				panic("chaos: injected handler panic on key " + string(key))
+			}
+			win[n] = key
+			if n++; n == len(win) {
+				s.store.GetBatch(p, win[:n], emit)
+				n = 0
+			}
+		}
+	}
+	s.store.GetBatch(p, win[:n], emit)
+}
+
 // batchBucket maps a batch depth onto its histogram bucket: bucket i covers
 // [2^i, 2^(i+1)), with the last bucket open-ended.
 func batchBucket(n int) int {
@@ -643,45 +703,11 @@ func batchBucket(n int) int {
 	return b
 }
 
-// execute applies one command to the store under the batch's pin, counts it
-// into the connection's wireStats slot, and writes its response.
+// execute applies one command other than get/gets (those run through
+// getRun) to the store under the batch's pin, counts it into the
+// connection's wireStats slot, and writes its response.
 func (s *Server) execute(p Pin, cmd *Command, w *respWriter, ws *wireStats) {
 	switch cmd.Op {
-	case OpGet, OpGets:
-		ws.n[cCmdGet].Add(1)
-		if s.cfg.ChaosPanicKey != "" {
-			for _, k := range cmd.Keys {
-				if string(k) == s.cfg.ChaosPanicKey {
-					panic("chaos: injected handler panic on key " + string(k))
-				}
-			}
-		}
-		withCAS := cmd.Op == OpGets
-		if len(cmd.Keys) > 1 {
-			// Multi-get: route, group by shard, and walk shard-grouped
-			// under the already-open pin; responses come back in request
-			// order (see Store.GetBatch).
-			s.store.GetBatch(p, cmd.Keys, func(i int, it Item, ok bool) {
-				if !ok {
-					ws.n[cGetMisses].Add(1)
-					return
-				}
-				ws.n[cGetHits].Add(1)
-				w.value(cmd.Keys[i], it, withCAS)
-			})
-		} else {
-			for _, k := range cmd.Keys {
-				it, ok := s.store.Get(p, k)
-				if !ok {
-					ws.n[cGetMisses].Add(1)
-					continue
-				}
-				ws.n[cGetHits].Add(1)
-				w.value(k, it, withCAS)
-			}
-		}
-		w.line("END")
-
 	case OpSet:
 		ws.n[cCmdSet].Add(1)
 		s.store.Set(p, cmd.Key, cmd.Flags, cmd.Exptime, cmd.Data)

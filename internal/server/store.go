@@ -155,7 +155,6 @@ func NewStore(algo string, capacity int, poolValues bool, shards int, ordered bo
 		return &pinFrame{
 			as:      make([]*ssmem.BufAllocator, shards),
 			touched: make([]int, 0, shards),
-			counts:  make([]int32, shards),
 		}
 	}
 	return s, nil
@@ -177,40 +176,16 @@ func (s *Store) BufStats() ssmem.Stats {
 	return agg
 }
 
-// pinFrame carries one Pin's per-shard allocator leases plus the batched-get
-// scratch tables; frames are pooled so the request loop never allocates one.
-// touched lists the shards holding a lease, so Unpin's cost scales with the
-// shards a request used, not with the store's shard count.
+// pinFrame carries one Pin's per-shard allocator leases; frames are pooled
+// so the request loop never allocates one. touched lists the shards holding
+// a lease, so Unpin's cost scales with the shards a request used, not with
+// the store's shard count.
 type pinFrame struct {
 	as      []*ssmem.BufAllocator // indexed by shard; nil until the shard is touched
 	touched []int
-	// Batched-get scratch (see GetBatch): per-key routes, the shard-grouped
-	// index permutation, and the result staging that restores request order.
-	// counts is the per-shard counting-sort workspace, sized to the store's
-	// shard count at frame construction; the rest grow to the largest batch
-	// the frame has served.
-	counts []int32
-	shOf   []int32
-	hashes []uint64
-	perm   []int32
-	items  []Item
-	hits   []bool
-}
-
-// ensureBatch sizes the per-key tables for an n-key batch.
-func (f *pinFrame) ensureBatch(n int) {
-	if cap(f.shOf) < n {
-		f.shOf = make([]int32, n)
-		f.hashes = make([]uint64, n)
-		f.perm = make([]int32, n)
-		f.items = make([]Item, n)
-		f.hits = make([]bool, n)
-	}
-	f.shOf = f.shOf[:n]
-	f.hashes = f.hashes[:n]
-	f.perm = f.perm[:n]
-	f.items = f.items[:n]
-	f.hits = f.hits[:n]
+	// sink receives GetBatch's value-block touches: a store the compiler
+	// cannot drop, to a line no other goroutine writes.
+	sink byte
 }
 
 // Pin leases the calling goroutine into the store's epochs, shard by shard
@@ -362,69 +337,67 @@ func (s *Store) Get(p Pin, key []byte) (Item, bool) {
 	return Item{}, false
 }
 
-// GetBatch looks up every keys[i] under one pin, one clock read, and one
-// epoch enter per distinct shard: all keys are routed first, then grouped by
-// shard through a counting-sort index permutation staged in the pooled pin
-// frame, and each shard's keys are walked consecutively (the shard's bucket
-// lines stay warm across its group). fn is invoked once per key in request
-// order — the permutation is only the walk order; the staged items restore
-// the response order the protocol requires. Item Data blocks obey the usual
-// pin contract: valid until p unpins. Dead items observed on the walk are
-// reaped opportunistically, exactly as Get does.
+// getChunk is how many keys GetBatch routes and stages at a time. Its
+// tables live on the stack, so a batch of any length allocates nothing and
+// holds no memory past the call.
+const getChunk = 16
+
+// GetBatch looks up every keys[i] under one pin and one clock read, as one
+// staged lookup: each chunk of getChunk keys is routed (entering each key's
+// shard epoch; enter is idempotent), read by
+// ShardedStringMap.GetManyBytesHashed, whose stages overlap the keys' cache
+// misses, then checked for liveness. fn is invoked once per key, in request
+// order. Item Data blocks obey the usual pin contract: valid until p
+// unpins. Dead items are reaped opportunistically, exactly as Get does. A
+// single key is served by Get.
+//
+// The answers are those of calling Get on each key in turn under p: each
+// key is read at its slot load (or its core miss), which lies inside the
+// caller's pin, and the caller issues no write between the keys of one
+// call. The server hands GetBatch every maximal run of get/gets commands in
+// a pipelined batch, so no write from the same connection falls between
+// two reads it stages together.
 func (s *Store) GetBatch(p Pin, keys [][]byte, fn func(i int, it Item, ok bool)) {
-	n := len(keys)
-	if n == 0 {
+	switch len(keys) {
+	case 0:
 		return
-	}
-	if n == 1 {
+	case 1:
 		it, ok := s.Get(p, keys[0])
 		fn(0, it, ok)
 		return
 	}
-	f := p.f
-	f.ensureBatch(n)
-	for i := range f.counts {
-		f.counts[i] = 0
-	}
-	for i, k := range keys {
-		sh, h := s.sm.RouteBytes(k)
-		f.shOf[i] = int32(sh)
-		f.hashes[i] = h
-		f.counts[sh]++
-	}
-	// Counting sort: counts become group start offsets, then the keys'
-	// indices are scattered into their shard's slot range.
-	off := int32(0)
-	for sh, c := range f.counts {
-		f.counts[sh] = off
-		off += c
-	}
-	for i := 0; i < n; i++ {
-		sh := f.shOf[i]
-		f.perm[f.counts[sh]] = int32(i)
-		f.counts[sh]++
-	}
-	for j := 0; j < n; j++ {
-		i := f.perm[j]
-		sh := int(f.shOf[i])
-		if j == 0 || sh != int(f.shOf[f.perm[j-1]]) {
-			p.enter(sh) // one epoch bracket per shard group
+	var (
+		shards [getChunk]int32
+		hashes [getChunk]uint64
+		items  [getChunk]Item
+		hits   [getChunk]bool
+	)
+	for lo := 0; lo < len(keys); lo += getChunk {
+		chunk := keys[lo:min(lo+getChunk, len(keys))]
+		for i, k := range chunk {
+			sh, h := s.sm.RouteBytes(k)
+			p.enter(sh)
+			shards[i], hashes[i] = int32(sh), h
 		}
-		it, ok := s.sm.GetBytesHashed(sh, f.hashes[i], keys[i])
-		if ok && !s.live(it, p.now) {
-			s.reapDead(p, sh, f.hashes[i], keys[i], it.CAS)
-			it, ok = Item{}, false
+		n := len(chunk)
+		s.sm.GetManyBytesHashed(shards[:n], hashes[:n], chunk, items[:n], hits[:n])
+		// One more stage: touch every hit's value block, so those misses
+		// overlap too instead of landing one by one in fn's copies.
+		var t byte
+		for i := 0; i < n; i++ {
+			if hits[i] && len(items[i].Data) > 0 {
+				t ^= items[i].Data[0]
+			}
 		}
-		f.items[i], f.hits[i] = it, ok
-	}
-	for i := 0; i < n; i++ {
-		fn(i, f.items[i], f.hits[i])
-	}
-	// Drop the staged Data references: the frame outlives the pin in the
-	// pool, and the blocks would otherwise stay reachable from it until the
-	// frame serves another batch this large.
-	for i := range f.items {
-		f.items[i] = Item{}
+		p.f.sink = t
+		for i, k := range chunk {
+			it, ok := items[i], hits[i]
+			if ok && !s.live(it, p.now) {
+				s.reapDead(p, int(shards[i]), hashes[i], k, it.CAS)
+				it, ok = Item{}, false
+			}
+			fn(lo+i, it, ok)
+		}
 	}
 }
 
@@ -713,10 +686,10 @@ func (s *Store) Ordered() bool { return s.sm.Ordered() }
 // lexicographic order, at most limit of them (limit <= 0 means unbounded),
 // and returns how many were yielded. Shards are range partitions in
 // ordered mode, so the scan walks the covering shards in index order —
-// opening each shard's epoch exactly once, mirroring GetBatch's
-// shard-grouped bracketing — and needs no merge. Item Data blocks obey the
-// pin contract: valid until p unpins (the epochs of every shard the scan
-// entered stay open until then). A nil hi means no upper bound.
+// opening each shard's epoch exactly once — and needs no merge. Item Data
+// blocks obey the pin contract: valid until p unpins (the epochs of every
+// shard the scan entered stay open until then). A nil hi means no upper
+// bound.
 //
 // Dead items (expired, or killed by a flush epoch) are skipped without
 // counting against limit and without reaping: a scan is a read of many

@@ -186,12 +186,17 @@ func (m *Map[K, V]) Delete(k K) (V, bool) {
 // lookup is the read path, shared with ShardedStringMap: one core search and
 // one slot load, with no lock and no store. nil means k is absent.
 func (m *Map[K, V]) lookup(k K) *V {
-	w, ok := m.set.Search(m.enc(k))
+	w, ok := m.search(k)
 	if !ok {
 		return nil
 	}
 	return m.slots.load(w)
 }
+
+// search is lookup's first step: k's slot handle in the core. The staged
+// reads of ShardedStringMap.GetManyBytesHashed run it for a whole chunk of
+// keys before any slot load.
+func (m *Map[K, V]) search(k K) (core.Value, bool) { return m.set.Search(m.enc(k)) }
 
 // publish is the write path, shared with ShardedStringMap (whose entries are
 // collision chains). f maps k's current entry (nil when k is absent) to the

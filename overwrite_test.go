@@ -16,7 +16,9 @@ import (
 // key 33 of 64 in a loop while another reads it; every read must hit, on
 // every Safe registry entry, through the hash-routed and the ordered
 // ShardedStringMap alike, and through the server's Store on the backend the
-// ordered scan workload serves.
+// ordered scan workload serves. Every other read is staged
+// (GetManyBytesHashed, Store.GetBatch) over the hot key and its neighbours,
+// none of which is ever absent: every key of it must hit.
 func TestStringMapOverwriteNeverMisses(t *testing.T) {
 	reads := 200_000
 	if testing.Short() {
@@ -44,9 +46,14 @@ func TestStringMapOverwriteNeverMisses(t *testing.T) {
 					m.Put(fmt.Sprintf("key-%02d", i), 0)
 				}
 				hot := []byte("key-33")
+				staged := newStagedRead(m, "key-31", "key-32", "key-33", "key-34")
+				odd := false
 				misses := probeOverwrite(reads, func() {
 					m.UpdateBytes(hot, func(v uint64, _ bool) (uint64, bool) { return v + 1, true })
 				}, func() bool {
+					if odd = !odd; odd {
+						return staged.allHit()
+					}
 					_, ok := m.GetBytes(hot)
 					return ok
 				})
@@ -68,18 +75,25 @@ func TestStringMapOverwriteNeverMisses(t *testing.T) {
 		}
 		p.Unpin()
 		hot := []byte("key-33")
+		batch := [][]byte{[]byte("key-32"), hot, []byte("key-34")}
+		odd := false
 		misses := probeOverwrite(reads, func() {
 			p := st.Pin()
 			st.Set(p, hot, 0, 0, []byte("v1"))
 			p.Unpin()
 		}, func() bool {
 			p := st.Pin()
+			defer p.Unpin()
+			if odd = !odd; odd {
+				all := true
+				st.GetBatch(p, batch, func(_ int, _ server.Item, ok bool) { all = all && ok })
+				return all
+			}
 			_, ok := st.Get(p, hot)
-			p.Unpin()
 			return ok
 		})
 		if misses != 0 {
-			t.Fatalf("%d of %d Store.Get calls missed the overwritten key (%.3f%%)",
+			t.Fatalf("%d of %d Store reads missed the overwritten key (%.3f%%)",
 				misses, reads, 100*float64(misses)/float64(reads))
 		}
 	})
@@ -119,6 +133,44 @@ func TestMapOverwriteNeverMisses(t *testing.T) {
 			}
 		})
 	}
+}
+
+// stagedRead is one staged lookup, routed once: GetManyBytesHashed over a
+// fixed key list.
+type stagedRead[V any] struct {
+	m      *ascylib.ShardedStringMap[V]
+	keys   [][]byte
+	shards []int32
+	hashes []uint64
+	out    []V
+	ok     []bool
+}
+
+func newStagedRead[V any](m *ascylib.ShardedStringMap[V], keys ...string) *stagedRead[V] {
+	r := &stagedRead[V]{m: m, out: make([]V, len(keys)), ok: make([]bool, len(keys))}
+	for _, k := range keys {
+		sh, h := m.RouteBytes([]byte(k))
+		r.keys = append(r.keys, []byte(k))
+		r.shards = append(r.shards, int32(sh))
+		r.hashes = append(r.hashes, h)
+	}
+	return r
+}
+
+// read runs the lookup; r.out and r.ok hold the answers.
+func (r *stagedRead[V]) read() {
+	r.m.GetManyBytesHashed(r.shards, r.hashes, r.keys, r.out, r.ok)
+}
+
+// allHit runs the lookup and reports whether every key was found.
+func (r *stagedRead[V]) allHit() bool {
+	r.read()
+	for _, ok := range r.ok {
+		if !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // probeOverwrite runs overwrite in a loop on one goroutine while it calls

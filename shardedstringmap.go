@@ -260,7 +260,12 @@ func cmpKey[K ~string | ~[]byte](s string, k K) int {
 // precomputed hash h in shard m and scan it for k. Every read reaches it
 // with a single hash computation that both routed and keys the core.
 func getChain[K ~string | ~[]byte, V any](m *Map[uint64, chainNode[V]], h uint64, k K) (V, bool) {
-	for c := m.lookup(h); c != nil; c = c.next {
+	return findChain(m.lookup(h), k)
+}
+
+// findChain scans the chain from c for k.
+func findChain[K ~string | ~[]byte, V any](c *chainNode[V], k K) (V, bool) {
+	for ; c != nil; c = c.next {
 		if eqKey(c.key, k) {
 			return c.val, true
 		}
@@ -431,6 +436,49 @@ func (s *ShardedStringMap[V]) ShardRangeBytes(sh int, lo, hi []byte, limit int, 
 // arguments must come from one RouteBytes call over the same key.
 func (s *ShardedStringMap[V]) GetBytesHashed(shard int, hash uint64, k []byte) (V, bool) {
 	return getChain(s.shards[shard], hash, k)
+}
+
+// getStage is how many lookups GetManyBytesHashed runs side by side, and the
+// length of its stack tables. Each stage is a short loop over the chunk
+// whose iterations do not depend on one another, so the processor can keep
+// one cache miss per key in flight.
+const getStage = 16
+
+// GetManyBytesHashed is GetBytesHashed for many keys at once: out[i] and
+// ok[i] answer keys[i] under the route (shards[i], hashes[i]) that
+// RouteBytes gave it. All five slices must have the same length.
+//
+// A lookup is a chain of dependent cache misses: the core's search, the
+// slot load, the chain node, the key bytes. Run one key at a time, they are
+// paid serially. Here the keys go in chunks of getStage, and every stage
+// runs across the whole chunk before the next one starts: first each key's
+// core search, then each key's slot load, then each key's chain walk. The
+// misses of different keys overlap. The work per key is exactly
+// GetBytesHashed's, and so is the answer: each key is read at its slot
+// load (at its core search if that misses), and a slot retired between
+// the two stages reads as a miss through its generation, as in Map.lookup.
+// Nothing is allocated.
+func (s *ShardedStringMap[V]) GetManyBytesHashed(shards []int32, hashes []uint64, keys [][]byte, out []V, ok []bool) {
+	var (
+		ws    [getStage]core.Value
+		found [getStage]bool
+		heads [getStage]*chainNode[V]
+	)
+	for lo := 0; lo < len(keys); lo += getStage {
+		n := min(getStage, len(keys)-lo)
+		for i := 0; i < n; i++ {
+			ws[i], found[i] = s.shards[shards[lo+i]].search(hashes[lo+i])
+		}
+		for i := 0; i < n; i++ {
+			heads[i] = nil
+			if found[i] {
+				heads[i] = s.shards[shards[lo+i]].slots.load(ws[i])
+			}
+		}
+		for i := 0; i < n; i++ {
+			out[lo+i], ok[lo+i] = findChain(heads[i], keys[lo+i])
+		}
+	}
 }
 
 // UpdateBytesHashed is UpdateBytes with the route precomputed by

@@ -16,8 +16,10 @@ import (
 // and delete until chains empty out, their slots retire, and fresh entries
 // take them over. A scan, ForEach or Snapshot that resolved a core entry to
 // its slot after the slot had been handed to another prefix would yield that
-// prefix's chain: out of order, out of bounds, or a key twice. Each writer
-// owns its keys, so the last value it wrote must read back at the end.
+// prefix's chain: out of order, out of bounds, or a key twice. A staged
+// lookup (GetManyBytesHashed) over every key that loaded a reused slot
+// would return another key's value. Each writer owns its keys, so the last
+// value it wrote must read back at the end.
 func TestSlotReuseChurn(t *testing.T) {
 	rounds := 5000
 	if testing.Short() {
@@ -65,8 +67,25 @@ func TestSlotReuseChurn(t *testing.T) {
 					}
 				}(w)
 			}
+			// The staged lookup's routes, fixed per key.
+			bkeys := make([][]byte, len(keys))
+			shards := make([]int32, len(keys))
+			hashes := make([]uint64, len(keys))
+			for i, k := range keys {
+				bkeys[i] = []byte(k)
+				sh, h := m.RouteBytes(bkeys[i])
+				shards[i], hashes[i] = int32(sh), h
+			}
+			vals := make([]uint64, len(keys))
+			hits := make([]bool, len(keys))
 			rng := xrand.New(99)
 			for r := 0; r < rounds && !t.Failed(); r++ {
+				m.GetManyBytesHashed(shards, hashes, bkeys, vals, hits)
+				for i, k := range keys {
+					if hits[i] && keys[vals[i]>>32] != k {
+						t.Errorf("staged lookup of %q returned the value of %q", k, keys[vals[i]>>32])
+					}
+				}
 				lo, hi := []byte(keys[rng.Intn(len(keys))]), []byte(keys[rng.Intn(len(keys))])
 				if bytes.Compare(lo, hi) > 0 {
 					lo, hi = hi, lo
