@@ -341,38 +341,6 @@ func RangeAscend(ascend AscendFunc, lo, hi Key, yield func(Key, Value) bool) int
 	return n
 }
 
-// MinAscend builds Ordered.Min from an ascend iterator.
-func MinAscend(ascend AscendFunc) (Key, Value, bool) {
-	var mk Key
-	var mv Value
-	found := false
-	ascend(0, func(k Key, v Value) bool {
-		mk, mv, found = k, v, true
-		return false
-	})
-	return mk, mv, found
-}
-
-// MaxAscend builds Ordered.Max from an ascend iterator by scanning to the
-// last element.
-func MaxAscend(ascend AscendFunc) (Key, Value, bool) {
-	var mk Key
-	var mv Value
-	found := false
-	ascend(0, func(k Key, v Value) bool {
-		if !found || k > mk {
-			mk, mv, found = k, v, true
-		}
-		return true
-	})
-	return mk, mv, found
-}
-
-// ForEachAscend builds Iterable.ForEach from an ascend iterator.
-func ForEachAscend(ascend AscendFunc, yield func(Key, Value) bool) {
-	ascend(0, yield)
-}
-
 // OrderedVia implements the whole Iterable + Ordered surface over one
 // AscendFunc. The ordered implementations embed it and point Ascend at
 // their own iterator in the constructor, so the four delegation methods
@@ -382,7 +350,7 @@ type OrderedVia struct {
 }
 
 // ForEach implements Iterable.
-func (o OrderedVia) ForEach(yield func(Key, Value) bool) { ForEachAscend(o.Ascend, yield) }
+func (o OrderedVia) ForEach(yield func(Key, Value) bool) { o.Ascend(0, yield) }
 
 // Range implements Ordered.
 func (o OrderedVia) Range(lo, hi Key, yield func(Key, Value) bool) int {
@@ -390,9 +358,29 @@ func (o OrderedVia) Range(lo, hi Key, yield func(Key, Value) bool) int {
 }
 
 // Min implements Ordered.
-func (o OrderedVia) Min() (Key, Value, bool) { return MinAscend(o.Ascend) }
+func (o OrderedVia) Min() (Key, Value, bool) {
+	var mk Key
+	var mv Value
+	found := false
+	o.Ascend(0, func(k Key, v Value) bool {
+		mk, mv, found = k, v, true
+		return false
+	})
+	return mk, mv, found
+}
 
 // Max implements Ordered. Max may take linear time: singly-linked
 // structures scan to the end, and the trees currently reuse their in-order
 // iterator rather than a rightmost descent.
-func (o OrderedVia) Max() (Key, Value, bool) { return MaxAscend(o.Ascend) }
+func (o OrderedVia) Max() (Key, Value, bool) {
+	var mk Key
+	var mv Value
+	found := false
+	o.Ascend(0, func(k Key, v Value) bool {
+		if !found || k > mk {
+			mk, mv, found = k, v, true
+		}
+		return true
+	})
+	return mk, mv, found
+}

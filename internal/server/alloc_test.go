@@ -273,6 +273,121 @@ func TestStoreDataPoolReuseBalance(t *testing.T) {
 	}
 }
 
+// TestStoreVerbPoolReuseBalance pins which value block every write frees.
+// Each live item holds exactly one pooled block, so after every outcome of
+// every write — stored or refused, over a live, absent or expired item,
+// and the reaping get, a reload of the store's own snapshot (every key a
+// duplicate) and flush_all 0 — the pool's allocations minus its frees must
+// equal the item count. A write that keeps a retired block, or drops a
+// block it never published, breaks the balance at that step.
+func TestStoreVerbPoolReuseBalance(t *testing.T) {
+	st, err := NewStore("ht-clht-lb", 64, true, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := int64(1000)
+	st.now = func() int64 { return now }
+	expire := func() { now += 100 } // past every 10 s TTL set so far
+	k := func(s string) []byte { return []byte(s) }
+	setTTL := func(p Pin, key string) { st.Set(p, k(key), 0, 10, k("doomed")) }
+	casOf := func(p Pin, key string) uint64 {
+		it, ok := st.Get(p, k(key))
+		if !ok {
+			t.Fatalf("%s missing", key)
+		}
+		return it.CAS
+	}
+	want := func(step string, got, exp any) {
+		t.Helper()
+		if got != exp {
+			t.Fatalf("%s: got %v, want %v", step, got, exp)
+		}
+	}
+	steps := []struct {
+		name string
+		run  func(p Pin, name string)
+	}{
+		{"set/new", func(p Pin, n string) { st.Set(p, k("a"), 0, 0, k("1")) }},
+		{"set/overwrite", func(p Pin, n string) { st.Set(p, k("a"), 0, 0, k("alpha")) }},
+		{"add/live", func(p Pin, n string) { want(n, st.Add(p, k("a"), 0, 0, k("x")), false) }},
+		{"add/new", func(p Pin, n string) { want(n, st.Add(p, k("b"), 0, 0, k("beta")), true) }},
+		{"add/expired-setup", func(p Pin, n string) { setTTL(p, "c"); expire() }},
+		{"add/expired", func(p Pin, n string) { want(n, st.Add(p, k("c"), 0, 0, k("gamma")), true) }},
+		{"replace/live", func(p Pin, n string) { want(n, st.Replace(p, k("b"), 0, 0, k("b2")), true) }},
+		{"replace/absent", func(p Pin, n string) { want(n, st.Replace(p, k("zz"), 0, 0, k("x")), false) }},
+		{"replace/expired-setup", func(p Pin, n string) { setTTL(p, "d"); expire() }},
+		{"replace/expired", func(p Pin, n string) { want(n, st.Replace(p, k("d"), 0, 0, k("x")), false) }},
+		{"cas/stored", func(p Pin, n string) {
+			want(n, st.CompareAndSwap(p, k("a"), 0, 0, k("a2"), casOf(p, "a")), CasStored)
+		}},
+		{"cas/exists", func(p Pin, n string) {
+			want(n, st.CompareAndSwap(p, k("a"), 0, 0, k("a3"), casOf(p, "a")+1000), CasExists)
+		}},
+		{"cas/absent", func(p Pin, n string) { want(n, st.CompareAndSwap(p, k("zz"), 0, 0, k("x"), 1), CasNotFound) }},
+		{"cas/expired-setup", func(p Pin, n string) { setTTL(p, "e"); expire() }},
+		{"cas/expired", func(p Pin, n string) { want(n, st.CompareAndSwap(p, k("e"), 0, 0, k("x"), 1), CasNotFound) }},
+		{"incr/setup", func(p Pin, n string) { st.Set(p, k("n"), 0, 0, k("10")) }},
+		{"incr/ok", func(p Pin, n string) {
+			v, s := st.IncrDecr(p, k("n"), 5, true)
+			want(n, s, IncrOK)
+			want(n, v, uint64(15))
+		}},
+		{"decr/ok", func(p Pin, n string) {
+			v, s := st.IncrDecr(p, k("n"), 100, false)
+			want(n, s, IncrOK)
+			want(n, v, uint64(0))
+		}},
+		{"incr/non-numeric", func(p Pin, n string) {
+			_, s := st.IncrDecr(p, k("a"), 1, true)
+			want(n, s, IncrNonNumeric)
+		}},
+		{"incr/absent", func(p Pin, n string) {
+			_, s := st.IncrDecr(p, k("zz"), 1, true)
+			want(n, s, IncrNotFound)
+		}},
+		{"incr/expired-setup", func(p Pin, n string) { st.Set(p, k("f"), 0, 10, k("7")); expire() }},
+		{"incr/expired", func(p Pin, n string) {
+			_, s := st.IncrDecr(p, k("f"), 1, true)
+			want(n, s, IncrNotFound)
+		}},
+		{"delete/live", func(p Pin, n string) { want(n, st.Delete(p, k("b")), true) }},
+		{"delete/absent", func(p Pin, n string) { want(n, st.Delete(p, k("zz")), false) }},
+		{"delete/expired-setup", func(p Pin, n string) { setTTL(p, "g"); expire() }},
+		{"delete/expired", func(p Pin, n string) { want(n, st.Delete(p, k("g")), false) }},
+		{"get/reap-setup", func(p Pin, n string) { setTTL(p, "h"); expire() }},
+		{"get/reap", func(p Pin, n string) {
+			_, ok := st.Get(p, k("h"))
+			want(n, ok, false)
+		}},
+		{"load/duplicates", func(p Pin, n string) {
+			before := st.Items()
+			var buf bytes.Buffer
+			if _, err := st.SnapshotTo(&buf); err != nil {
+				t.Fatalf("%s: SnapshotTo: %v", n, err)
+			}
+			res, err := st.LoadFrom(&buf)
+			if err != nil {
+				t.Fatalf("%s: LoadFrom: %v", n, err)
+			}
+			want(n, res.Loaded, uint64(0)) // every record overwrote its key
+			want(n, st.Items(), before)
+		}},
+		{"flush_all/0", func(p Pin, n string) { st.FlushAll(p, 0) }},
+	}
+	for _, step := range steps {
+		p := st.Pin()
+		step.run(p, step.name)
+		p.Unpin()
+		bs := st.BufStats()
+		if live := bs.Allocs - bs.Frees; live != uint64(st.Items()) {
+			t.Fatalf("after %s: %d blocks allocated and not freed, %d items (%+v)", step.name, live, st.Items(), bs)
+		}
+	}
+	if n := st.Items(); n != 0 {
+		t.Fatalf("items after flush_all 0 = %d, want 0", n)
+	}
+}
+
 // TestStoreReapsExpiredOnGet: a dead item observed by a read is physically
 // removed (bounded, non-blocking) instead of lingering until a mutation
 // touches the key.

@@ -133,22 +133,16 @@ func (s *Store) LoadFrom(r io.Reader) (LoadResult, error) {
 			CAS:      s.nextCAS(),
 			ExpireAt: rec.ExpireAt,
 		}
-		var retired []byte
-		replaced := false
+		// A duplicate key in the stream: the last record wins, the
+		// earlier block goes back to the pool, and Loaded stays a
+		// distinct-key count, which is what the stats report against
+		// recovered keys.
+		var t txn
 		s.sm.UpdateBytesHashed(sh, h, rec.Key, func(old Item, present bool) (Item, bool) {
-			retired = nil
-			replaced = present
-			if present {
-				// Duplicate key in the stream: last record wins,
-				// the earlier block goes back to the pool — and
-				// Loaded stays a distinct-key count, which is what
-				// the stats report against recovered keys.
-				retired = old.Data
-			}
-			return it, true
+			return t.to(old, present, it, true)
 		})
-		p.free(sh, retired)
-		if !replaced {
+		p.settle(sh, &t, it)
+		if !t.present {
 			res.Loaded++
 		}
 	}

@@ -74,7 +74,10 @@ const (
 // when a mutation retires them; a freed block is reused only after every
 // reader pinned into that shard has unpinned, so a get can hand its Data to
 // the response writer without copying. Callers bracket work with Pin/Unpin
-// — one pin per request in the server's loop.
+// — one pin per request in the server's loop. Which block a write frees is
+// decided once, by Pin.settle, from the transition the write's update
+// function recorded in a txn, and by CAS token: each stored item carries a
+// unique token, so the token says which block the committed item holds.
 //
 // Expiry is lazy, as in memcached: expired items are invisible to reads
 // and treated as absent by mutations, and are physically removed when a
@@ -266,13 +269,44 @@ func (p Pin) alloc(sh int, data []byte) []byte {
 	return b
 }
 
-// free returns a retired block to shard sh's pool (no-op without pooling,
-// or for nil blocks).
-func (p Pin) free(sh int, b []byte) {
-	if p.s.bufs == nil || b == nil {
-		return
+// txn records the transition a write's update function chose: old
+// (present) → next (keep), with next named by its CAS token. Every
+// invocation of the function ends in to, which overwrites the record, so
+// once the update returns it holds the invocation that took effect.
+type txn struct {
+	old           Item
+	cas           uint64 // next's token
+	present, keep bool
+}
+
+// to records a transition and returns it as the update function's result.
+// It stores fields one by one: a composite literal would zero and copy a
+// temporary on every invocation.
+func (t *txn) to(old Item, present bool, next Item, keep bool) (Item, bool) {
+	t.old, t.cas, t.present, t.keep = old, next.CAS, present, keep
+	return next, keep
+}
+
+// stored reports whether the committed item is it. CAS tokens are unique
+// per stored item, so the token names the item, and with it its block.
+func (t *txn) stored(it Item) bool { return t.keep && t.cas == it.CAS }
+
+// settle is the one place a write frees value blocks. It retires the old
+// item's block unless the old item is what the write committed, and frees
+// fresh's block — built for the write, published only if committed — unless
+// the committed item is fresh. Writes that build no item pass Item{}; a nil
+// block is never freed.
+func (p Pin) settle(sh int, t *txn, fresh Item) {
+	if p.s.bufs == nil {
+		return // without pooling the Go GC owns every block
 	}
-	p.enter(sh).Free(b)
+	a := p.enter(sh)
+	if t.present && !t.stored(t.old) {
+		a.Free(t.old.Data)
+	}
+	if !t.stored(fresh) {
+		a.Free(fresh.Data)
+	}
 }
 
 // absExpiry converts a protocol exptime to an absolute unix time: 0 never
@@ -416,144 +450,91 @@ func (s *Store) reapDead(p Pin, sh int, h uint64, key []byte, cas uint64) {
 	if s.reapHook != nil {
 		s.reapHook()
 	}
-	now := p.now
-	var retired []byte
+	var t txn
 	s.sm.UpdateBytesHashed(sh, h, key, func(old Item, present bool) (Item, bool) {
-		retired = nil
-		if !present {
-			return old, false
-		}
-		if old.CAS != cas || s.live(old, now) {
-			return old, true // superseded or resurrected: keep
-		}
-		retired = old.Data
-		return old, false
+		// Superseded or resurrected: keep.
+		return t.to(old, present, old, present && (old.CAS != cas || s.live(old, p.now)))
 	})
-	p.free(sh, retired)
+	p.settle(sh, &t, Item{})
 }
 
 // Set unconditionally stores the value and returns its CAS token.
 func (s *Store) Set(p Pin, key []byte, flags uint32, exptime int64, data []byte) uint64 {
 	sh, h := s.sm.RouteBytes(key)
 	it := s.newItem(p, sh, flags, exptime, data)
-	var retired []byte
+	var t txn
 	s.sm.UpdateBytesHashed(sh, h, key, func(old Item, present bool) (Item, bool) {
-		retired = nil
-		if present {
-			retired = old.Data
-		}
-		return it, true
+		return t.to(old, present, it, true)
 	})
-	p.free(sh, retired)
+	p.settle(sh, &t, it)
 	return it.CAS
 }
 
 // Add stores the value only if the key holds no live item.
 func (s *Store) Add(p Pin, key []byte, flags uint32, exptime int64, data []byte) bool {
 	sh, h := s.sm.RouteBytes(key)
-	now := p.now
 	it := s.newItem(p, sh, flags, exptime, data)
-	stored := false
-	var retired []byte
+	var t txn
 	s.sm.UpdateBytesHashed(sh, h, key, func(old Item, present bool) (Item, bool) {
-		retired = nil
-		if present && s.live(old, now) {
-			stored = false
-			return old, true
+		if present && s.live(old, p.now) {
+			return t.to(old, present, old, true)
 		}
-		if present {
-			retired = old.Data // replacing a corpse
-		}
-		stored = true
-		return it, true
+		return t.to(old, present, it, true) // absent, or over a corpse
 	})
-	if stored {
-		p.free(sh, retired)
-	} else {
-		p.free(sh, it.Data) // never published
-	}
-	return stored
+	p.settle(sh, &t, it)
+	return t.stored(it)
 }
 
 // Replace stores the value only if the key holds a live item.
 func (s *Store) Replace(p Pin, key []byte, flags uint32, exptime int64, data []byte) bool {
 	sh, h := s.sm.RouteBytes(key)
-	now := p.now
 	it := s.newItem(p, sh, flags, exptime, data)
-	stored := false
-	var retired []byte
+	var t txn
 	s.sm.UpdateBytesHashed(sh, h, key, func(old Item, present bool) (Item, bool) {
-		retired = nil
-		if !present {
-			stored = false
-			return old, false
+		if present && s.live(old, p.now) {
+			return t.to(old, present, it, true)
 		}
-		retired = old.Data
-		if !s.live(old, now) {
-			stored = false
-			return old, false // purge the corpse
-		}
-		stored = true
-		return it, true
+		return t.to(old, present, old, false) // absent, or purge the corpse
 	})
-	p.free(sh, retired)
-	if !stored {
-		p.free(sh, it.Data) // never published
-	}
-	return stored
+	p.settle(sh, &t, it)
+	return t.stored(it)
 }
 
 // CompareAndSwap stores the value only if the key's live item still carries
 // the token casid.
 func (s *Store) CompareAndSwap(p Pin, key []byte, flags uint32, exptime int64, data []byte, casid uint64) CasStatus {
 	sh, h := s.sm.RouteBytes(key)
-	now := p.now
 	it := s.newItem(p, sh, flags, exptime, data)
-	status := CasNotFound
-	var retired []byte
+	var t txn
 	s.sm.UpdateBytesHashed(sh, h, key, func(old Item, present bool) (Item, bool) {
-		retired = nil
-		if !present {
-			status = CasNotFound
-			return old, false
+		switch {
+		case !present || !s.live(old, p.now):
+			return t.to(old, present, old, false) // absent, or purge the corpse
+		case old.CAS != casid:
+			return t.to(old, present, old, true)
 		}
-		if !s.live(old, now) {
-			status = CasNotFound
-			retired = old.Data // purge the corpse
-			return old, false
-		}
-		if old.CAS != casid {
-			status = CasExists
-			return old, true
-		}
-		status = CasStored
-		retired = old.Data
-		return it, true
+		return t.to(old, present, it, true)
 	})
-	p.free(sh, retired)
-	if status != CasStored {
-		p.free(sh, it.Data) // never published
+	p.settle(sh, &t, it)
+	switch {
+	case t.stored(it):
+		return CasStored
+	case t.keep:
+		return CasExists
 	}
-	return status
+	return CasNotFound
 }
 
 // Delete removes the key's live item and reports whether one was removed.
 func (s *Store) Delete(p Pin, key []byte) bool {
 	sh, h := s.sm.RouteBytes(key)
 	p.enter(sh)
-	now := p.now
-	deleted := false
-	var retired []byte
+	var t txn
 	s.sm.UpdateBytesHashed(sh, h, key, func(old Item, present bool) (Item, bool) {
-		retired = nil
-		if present {
-			retired = old.Data
-		}
-		deleted = present && s.live(old, now)
-		return old, false
+		return t.to(old, present, old, false)
 	})
-	p.free(sh, retired)
-	return deleted
+	p.settle(sh, &t, Item{})
+	return t.present && s.live(t.old, p.now)
 }
 
 // IncrDecr atomically adjusts the decimal value under key by delta (incr
@@ -562,27 +543,18 @@ func (s *Store) Delete(p Pin, key []byte) bool {
 func (s *Store) IncrDecr(p Pin, key []byte, delta uint64, incr bool) (uint64, IncrStatus) {
 	sh, h := s.sm.RouteBytes(key)
 	p.enter(sh)
-	now := p.now
+	cas := s.nextCAS()
 	var newVal uint64
-	status := IncrNotFound
-	var retired []byte
 	var staged []byte // pooled block reused across speculative invocations
 	var digits [20]byte
+	var t txn
 	s.sm.UpdateBytesHashed(sh, h, key, func(old Item, present bool) (Item, bool) {
-		retired = nil
-		if !present {
-			status = IncrNotFound
-			return old, false
-		}
-		if !s.live(old, now) {
-			status = IncrNotFound
-			retired = old.Data
-			return old, false
+		if !present || !s.live(old, p.now) {
+			return t.to(old, present, old, false) // absent, or purge the corpse
 		}
 		cur, ok := parseU64(old.Data)
 		if !ok {
-			status = IncrNonNumeric
-			return old, true
+			return t.to(old, present, old, true)
 		}
 		if incr {
 			newVal = cur + delta
@@ -591,7 +563,6 @@ func (s *Store) IncrDecr(p Pin, key []byte, delta uint64, incr bool) (uint64, In
 		} else {
 			newVal = cur - delta
 		}
-		status = IncrOK
 		out := strconv.AppendUint(digits[:0], newVal, 10)
 		if cap(staged) < len(out) {
 			staged = p.alloc(sh, out)
@@ -600,16 +571,18 @@ func (s *Store) IncrDecr(p Pin, key []byte, delta uint64, incr bool) (uint64, In
 			copy(staged, out)
 		}
 		next := old
-		retired = old.Data
-		next.Data = staged
-		next.CAS = s.nextCAS()
-		return next, true
+		next.Data, next.CAS = staged, cas
+		return t.to(old, present, next, true)
 	})
-	p.free(sh, retired)
-	if status != IncrOK {
-		p.free(sh, staged) // never published
+	fresh := Item{Data: staged, CAS: cas}
+	p.settle(sh, &t, fresh)
+	switch {
+	case t.stored(fresh):
+		return newVal, IncrOK
+	case t.keep:
+		return newVal, IncrNonNumeric
 	}
-	return newVal, status
+	return newVal, IncrNotFound
 }
 
 // FlushAll invalidates every item stored up to now, after delay seconds
@@ -659,16 +632,11 @@ func (s *Store) flushShard(sh int) {
 		return true
 	})
 	for _, k := range keys {
-		var retired []byte
+		var t txn
 		s.sm.Update(k, func(old Item, present bool) (Item, bool) {
-			retired = nil
-			keep := present && s.live(old, p.now)
-			if present && !keep {
-				retired = old.Data
-			}
-			return old, keep
+			return t.to(old, present, old, present && s.live(old, p.now))
 		})
-		p.free(sh, retired)
+		p.settle(sh, &t, Item{})
 	}
 }
 

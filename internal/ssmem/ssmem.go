@@ -22,14 +22,16 @@
 // while any thread that was active at Free time is still inside the same
 // operation.
 //
-// Three layers build on the protocol:
+// The protocol is written once, as freeList, and so is the lease pool,
+// pool; everything else is a face over those two:
 //
-//   - Allocator[T] — the paper's per-thread allocator for one node type.
-//   - Pool[T] — a goroutine-friendly pool of Allocators sharing one
-//     Collector (the sync.Pool-of-allocators pattern the urcu table
-//     introduced), with aggregate Stats.
-//   - BufPool / BufAllocator — the same epochs applied to size-classed
-//     []byte blocks, used by the server to recycle Item.Data values.
+//   - Allocator[T] — the paper's per-thread allocator for one node type:
+//     one free list of *T.
+//   - BufAllocator — the same epochs applied to size-classed []byte blocks,
+//     one free list per class; the server recycles Item.Data values with it.
+//   - Pool[T] and BufPool — the lease pool over each (the sync.Pool-of-
+//     allocators pattern the urcu table introduced): per-goroutine
+//     allocators sharing one Collector, with aggregate Stats.
 package ssmem
 
 import (
@@ -166,9 +168,112 @@ func (c *counters) stats() Stats {
 	}
 }
 
-type batch[T any] struct {
-	items []*T
+// owner is the per-goroutine half every allocator shares: its timestamp in
+// the collector, its garbage threshold, its lease flag and its counters.
+// The free lists it keeps are freeLists that take the owner as an argument,
+// so one owner can run any number of them (one per size class).
+type owner struct {
+	c         *Collector
+	ts        *threadTS
+	threshold int
+	leased    atomic.Bool // claimed by a pool lease (see pool.Get)
+	hint      uint32      // the stripe hint of the Get that leased it
+	stats     counters
+}
+
+func (o *owner) init(c *Collector, threshold int) {
+	if threshold < 1 {
+		threshold = DefaultThreshold
+	}
+	o.c, o.ts, o.threshold = c, c.register(), threshold
+}
+
+func (o *owner) own() *owner { return o }
+
+// OpStart marks the owning goroutine as inside a data-structure operation.
+// Structures integrated with SSMEM call this on operation entry; references
+// obtained before OpStart or after OpEnd must not be retained.
+func (o *owner) OpStart() { o.ts.bump() }
+
+// OpEnd marks the owning goroutine quiescent.
+func (o *owner) OpEnd() { o.ts.bump() }
+
+// Stats returns a copy of the allocator's counters. Safe to call from any
+// goroutine.
+func (o *owner) Stats() Stats { return o.stats.stats() }
+
+type batch[E any] struct {
+	items []E
 	snap  []uint64
+}
+
+// freeList is the epoch protocol, written once: freed elements gather in
+// cur, a full window is stamped with a collector snapshot and released, and
+// a released batch moves to free once the collector proves it safe.
+type freeList[E any] struct {
+	free     []E        // reclaimed, ready for reuse
+	cur      []E        // freed in the current epoch window
+	released []batch[E] // stamped batches awaiting safety
+}
+
+// put frees e. It becomes reusable only after every goroutine active now
+// has left its current operation.
+func (l *freeList[E]) put(o *owner, e E) {
+	o.stats.frees.Add(1)
+	o.stats.garbage.Add(1)
+	l.cur = append(l.cur, e)
+	if len(l.cur) >= o.threshold {
+		l.release(o.c)
+	}
+}
+
+// release stamps the current window and queues it for collection.
+func (l *freeList[E]) release(c *Collector) {
+	if len(l.cur) == 0 {
+		return
+	}
+	l.released = append(l.released, batch[E]{items: l.cur, snap: c.snapshot()})
+	l.cur = nil
+}
+
+// collect moves every released batch whose snapshot has been superseded to
+// the free list and returns how many elements it reclaimed.
+func (l *freeList[E]) collect(o *owner) int {
+	reclaimed := 0
+	kept := l.released[:0]
+	for _, b := range l.released {
+		if o.c.safe(b.snap) {
+			l.free = append(l.free, b.items...)
+			reclaimed += len(b.items)
+		} else {
+			kept = append(kept, b)
+		}
+	}
+	l.released = kept
+	if reclaimed > 0 {
+		o.stats.gcPasses.Add(1)
+		o.stats.collected.Add(uint64(reclaimed))
+	}
+	return reclaimed
+}
+
+// take returns a reclaimed element, collecting first when the free list is
+// empty; ok is false when nothing is safe to reuse yet.
+func (l *freeList[E]) take(o *owner) (e E, ok bool) {
+	if len(l.free) == 0 && len(l.released) > 0 {
+		l.collect(o)
+	}
+	n := len(l.free)
+	if n == 0 {
+		return e, false
+	}
+	e = l.free[n-1]
+	var zero E
+	l.free[n-1] = zero
+	l.free = l.free[:n-1]
+	o.stats.reused.Add(1)
+	o.stats.garbage.Add(-1)
+	return e, true
 }
 
 // Allocator is a per-thread SSMEM allocator for objects of type T. It must
@@ -176,16 +281,8 @@ type batch[T any] struct {
 // through that thread's own allocator, as in ssmem (freeing memory allocated
 // elsewhere is allowed, freeing concurrently from one allocator is not).
 type Allocator[T any] struct {
-	c         *Collector
-	ts        *threadTS
-	threshold int
-	leased    atomic.Bool // claimed by a Pool lease (see Pool.Get)
-
-	free     []*T       // reclaimed, ready for reuse
-	cur      []*T       // freed in the current epoch window
-	released []batch[T] // stamped batches awaiting safety
-
-	stats counters
+	owner
+	freeList[*T]
 }
 
 // NewAllocator registers a new per-thread allocator with c. threshold is the
@@ -193,33 +290,27 @@ type Allocator[T any] struct {
 // (the paper's configurable "amount of garbage SSMEM allows before
 // performing GC"); values < 1 use DefaultThreshold.
 func NewAllocator[T any](c *Collector, threshold int) *Allocator[T] {
-	if threshold < 1 {
-		threshold = DefaultThreshold
-	}
-	return &Allocator[T]{c: c, ts: c.register(), threshold: threshold}
+	return newAllocator[Allocator[T]](c, threshold)
 }
 
-// OpStart marks the owning thread as inside a data-structure operation.
-// Structures integrated with SSMEM call this on operation entry; references
-// obtained before OpStart or after OpEnd must not be retained.
-func (a *Allocator[T]) OpStart() { a.ts.bump() }
+// allocator is what pool needs of an allocator type: a pointer to it that
+// reaches its owner.
+type allocator[A any] interface {
+	*A
+	own() *owner
+}
 
-// OpEnd marks the owning thread quiescent.
-func (a *Allocator[T]) OpEnd() { a.ts.bump() }
+func newAllocator[A any, PA allocator[A]](c *Collector, threshold int) PA {
+	a := PA(new(A))
+	a.own().init(c, threshold)
+	return a
+}
 
 // Alloc returns an object, reusing reclaimed memory when a GC pass has
 // proven it safe, and falling back to the Go heap otherwise.
 func (a *Allocator[T]) Alloc() *T {
 	a.stats.allocs.Add(1)
-	if len(a.free) == 0 && len(a.released) > 0 {
-		a.Collect()
-	}
-	if n := len(a.free); n > 0 {
-		p := a.free[n-1]
-		a.free[n-1] = nil
-		a.free = a.free[:n-1]
-		a.stats.reused.Add(1)
-		a.stats.garbage.Add(-1)
+	if p, ok := a.take(&a.owner); ok {
 		return p
 	}
 	return new(T)
@@ -227,59 +318,24 @@ func (a *Allocator[T]) Alloc() *T {
 
 // Free hands an object back to the allocator. The object becomes reusable
 // only after every thread active now has left its current operation.
-func (a *Allocator[T]) Free(p *T) {
-	a.stats.frees.Add(1)
-	a.stats.garbage.Add(1)
-	a.cur = append(a.cur, p)
-	if len(a.cur) >= a.threshold {
-		a.releaseBatch()
-	}
-}
-
-func (a *Allocator[T]) releaseBatch() {
-	if len(a.cur) == 0 {
-		return
-	}
-	a.released = append(a.released, batch[T]{items: a.cur, snap: a.c.snapshot()})
-	a.cur = nil
-}
+func (a *Allocator[T]) Free(p *T) { a.put(&a.owner, p) }
 
 // Collect attempts a GC pass: every released batch whose timestamp snapshot
 // has been superseded moves to the free list. It returns the number of
 // objects reclaimed.
-func (a *Allocator[T]) Collect() int {
-	reclaimed := 0
-	kept := a.released[:0]
-	for _, b := range a.released {
-		if a.c.safe(b.snap) {
-			a.free = append(a.free, b.items...)
-			reclaimed += len(b.items)
-		} else {
-			kept = append(kept, b)
-		}
-	}
-	a.released = kept
-	if reclaimed > 0 {
-		a.stats.gcPasses.Add(1)
-		a.stats.collected.Add(uint64(reclaimed))
-	}
-	return reclaimed
-}
+func (a *Allocator[T]) Collect() int { return a.collect(&a.owner) }
 
 // FlushRelease stamps any pending frees immediately instead of waiting for
 // the threshold. Tests and shutdown paths use it.
-func (a *Allocator[T]) FlushRelease() { a.releaseBatch() }
+func (a *Allocator[T]) FlushRelease() { a.release(a.c) }
 
-// Stats returns a copy of the allocator's counters. Safe to call from any
-// goroutine.
-func (a *Allocator[T]) Stats() Stats { return a.stats.stats() }
+// --- pool: the sync.Pool-of-allocators pattern --------------------------
 
-// --- Pool: the sync.Pool-of-allocators pattern --------------------------
-
-// Pool hands out per-goroutine Allocators that share one Collector: the
-// pattern the re-engineered urcu table uses so any number of goroutines can
-// recycle nodes without owning a long-lived allocator. Get/Put bracket one
-// operation (or any window in which the caller keeps references).
+// pool hands out per-goroutine allocators of type A that share one
+// Collector: the pattern the re-engineered urcu table uses so any number of
+// goroutines can recycle memory without owning a long-lived allocator.
+// Get/Put bracket one operation (or any window in which the caller keeps
+// references). Pool and BufPool are its two faces.
 //
 // Ownership lives in the `all` table, not in the sync.Pool: the sync.Pool
 // only caches lease references (cheap per-P fast path), and every
@@ -289,47 +345,47 @@ func (a *Allocator[T]) Stats() Stats { return a.stats.stats() }
 // anew — so the allocator count, the retained free lists, and the
 // collector's thread registry are all bounded by peak concurrent leases,
 // not by process lifetime.
-type Pool[T any] struct {
+type pool[A any, PA allocator[A]] struct {
 	c         *Collector
 	threshold int
-	stripes   *stripes[Allocator[T]]
+	stripes   *stripes[A]
 	p         sync.Pool
 
 	mu  sync.Mutex
-	all []*Allocator[T]
+	all []PA
 }
 
-// NewPool builds a pool with its own Collector. threshold is per allocator
-// (values < 1 use DefaultThreshold).
-func NewPool[T any](threshold int) *Pool[T] {
-	return &Pool[T]{c: NewCollector(), threshold: threshold, stripes: newStripes[Allocator[T]]()}
+func (p *pool[A, PA]) init(threshold int) {
+	p.c, p.threshold, p.stripes = NewCollector(), threshold, newStripes[A]()
 }
-
-// Collector returns the shared collector (tests use it to build cooperating
-// standalone allocators).
-func (p *Pool[T]) Collector() *Collector { return p.c }
 
 // Get leases an allocator for the calling goroutine. The fast path is the
 // caller's stripe slot (see stripe.go): one uncontended swap hands back the
 // allocator the same goroutine parked last, free lists still warm. Stripe
-// misses fall through to the sync.Pool + lease-and-adopt slow path.
-func (p *Pool[T]) Get() *Allocator[T] {
+// misses fall through to the sync.Pool + lease-and-adopt slow path. The
+// allocator remembers the hint, so that Put parks it where this Get looked.
+func (p *pool[A, PA]) Get() PA {
 	hint := stripeHint()
-	if a := p.stripes.take(hint); a != nil {
-		if a.leased.CompareAndSwap(false, true) {
-			p.stripes.hit(hint)
-			return a
-		}
-		// Stale: an adopter claimed this allocator straight from the
-		// table while it sat parked. Drop the reference and go slow.
+	a := PA(p.stripes.take(hint))
+	if a != nil && a.own().leased.CompareAndSwap(false, true) {
+		p.stripes.hit(hint)
+	} else {
+		// Empty, or stale: an adopter claimed the parked allocator
+		// straight from the table. Drop the reference and go slow.
+		p.stripes.miss()
+		a = p.getSlow()
 	}
-	p.stripes.miss()
+	a.own().hint = hint
+	return a
+}
+
+func (p *pool[A, PA]) getSlow() PA {
 	for {
-		a, _ := p.p.Get().(*Allocator[T])
+		a, _ := p.p.Get().(PA)
 		if a == nil {
 			return p.adoptOrCreate()
 		}
-		if a.leased.CompareAndSwap(false, true) {
+		if a.own().leased.CompareAndSwap(false, true) {
 			return a
 		}
 		// The parked reference went stale: an adopter claimed this
@@ -340,26 +396,28 @@ func (p *Pool[T]) Get() *Allocator[T] {
 // adoptOrCreate reclaims an unleased allocator from the table (one whose
 // sync.Pool reference was dropped by a GC cycle), creating a fresh one
 // only when every registered allocator is simultaneously leased.
-func (p *Pool[T]) adoptOrCreate() *Allocator[T] {
+func (p *pool[A, PA]) adoptOrCreate() PA {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, a := range p.all {
-		if a.leased.CompareAndSwap(false, true) {
+		if a.own().leased.CompareAndSwap(false, true) {
 			return a
 		}
 	}
-	a := NewAllocator[T](p.c, p.threshold)
-	a.leased.Store(true)
+	a := newAllocator[A, PA](p.c, p.threshold)
+	a.own().leased.Store(true)
 	p.all = append(p.all, a)
 	return a
 }
 
 // Put returns a leased allocator. The allocator must be quiescent (every
-// OpStart matched by OpEnd). It parks in the caller's stripe slot when that
-// is free, overflowing to the sync.Pool otherwise.
-func (p *Pool[T]) Put(a *Allocator[T]) {
-	a.leased.Store(false)
-	if p.stripes.park(stripeHint(), a) {
+// OpStart matched by OpEnd). It parks in the stripe slot its Get looked in
+// when that is free, overflowing to the sync.Pool otherwise.
+func (p *pool[A, PA]) Put(a PA) {
+	o := a.own()
+	hint := o.hint // read before the release: an adopter rewrites it
+	o.leased.Store(false)
+	if p.stripes.park(hint, (*A)(a)) {
 		return
 	}
 	p.p.Put(a)
@@ -368,22 +426,39 @@ func (p *Pool[T]) Put(a *Allocator[T]) {
 // StripeStats reports the striped fast path's hit/miss split: hits are Gets
 // served from the caller's own stripe slot (the per-P affinity path), misses
 // fell through to the shared sync.Pool + adopt path.
-func (p *Pool[T]) StripeStats() (hits, misses uint64) { return p.stripes.stats() }
+func (p *pool[A, PA]) StripeStats() (hits, misses uint64) { return p.stripes.stats() }
 
 // Stats aggregates the counters of every allocator the pool created. The
 // per-allocator counters are read atomically, so the aggregate is safe (if
 // momentarily inconsistent) under concurrency; quiesce first for exact
 // numbers.
-func (p *Pool[T]) Stats() Stats {
+func (p *pool[A, PA]) Stats() Stats {
 	p.mu.Lock()
 	all := p.all
 	p.mu.Unlock()
 	var s Stats
 	for _, a := range all {
-		s.Add(a.Stats())
+		s.Add(a.own().Stats())
 	}
 	return s
 }
+
+// Pool is the lease pool over Allocator[T].
+type Pool[T any] struct {
+	pool[Allocator[T], *Allocator[T]]
+}
+
+// NewPool builds a pool with its own Collector. threshold is per allocator
+// (values < 1 use DefaultThreshold).
+func NewPool[T any](threshold int) *Pool[T] {
+	p := &Pool[T]{}
+	p.init(threshold)
+	return p
+}
+
+// Collector returns the shared collector (tests use it to build cooperating
+// standalone allocators).
+func (p *Pool[T]) Collector() *Collector { return p.c }
 
 // --- BufPool: epoch-recycled byte blocks --------------------------------
 
@@ -405,43 +480,20 @@ func bufClassFor(n int) int {
 	return c
 }
 
-type bufBatch struct {
-	items [][]byte
-	snap  []uint64
-}
-
-type bufClass struct {
-	free     [][]byte
-	cur      [][]byte
-	released []bufBatch
-}
-
 // BufAllocator is the per-goroutine face of a BufPool: size-classed []byte
-// allocation with SSMEM epoch reclamation. Like Allocator, it is
-// single-goroutine; OpStart/OpEnd bracket the window in which blocks
-// obtained from the shared structure may still be referenced.
+// allocation with SSMEM epoch reclamation, one free list per size class.
+// Like Allocator, it is single-goroutine; OpStart/OpEnd bracket the window
+// in which blocks obtained from the shared structure may still be
+// referenced.
 type BufAllocator struct {
-	c         *Collector
-	ts        *threadTS
-	threshold int
-	leased    atomic.Bool // claimed by a BufPool lease
-	classes   [numBufClass]bufClass
-	stats     counters
+	owner
+	classes [numBufClass]freeList[[]byte]
 }
 
 // NewBufAllocator registers a buffer allocator with c.
 func NewBufAllocator(c *Collector, threshold int) *BufAllocator {
-	if threshold < 1 {
-		threshold = DefaultThreshold
-	}
-	return &BufAllocator{c: c, ts: c.register(), threshold: threshold}
+	return newAllocator[BufAllocator](c, threshold)
 }
-
-// OpStart marks the owning goroutine as inside an operation.
-func (a *BufAllocator) OpStart() { a.ts.bump() }
-
-// OpEnd marks the owning goroutine quiescent.
-func (a *BufAllocator) OpEnd() { a.ts.bump() }
 
 // Alloc returns a block of length n, recycled when provably safe. Blocks
 // larger than the top size class come from the Go heap and are simply
@@ -452,16 +504,7 @@ func (a *BufAllocator) Alloc(n int) []byte {
 		return make([]byte, n)
 	}
 	ci := bufClassFor(n)
-	cl := &a.classes[ci]
-	if len(cl.free) == 0 && len(cl.released) > 0 {
-		a.collectClass(cl)
-	}
-	if ln := len(cl.free); ln > 0 {
-		b := cl.free[ln-1]
-		cl.free[ln-1] = nil
-		cl.free = cl.free[:ln-1]
-		a.stats.reused.Add(1)
-		a.stats.garbage.Add(-1)
+	if b, ok := a.classes[ci].take(&a.owner); ok {
 		return b[:n]
 	}
 	return make([]byte, n, 1<<(minBufShift+ci))
@@ -474,130 +517,25 @@ func (a *BufAllocator) Free(b []byte) {
 	if c == 0 || c > 1<<maxBufShift || c&(c-1) != 0 || c < 1<<minBufShift {
 		return
 	}
-	a.stats.frees.Add(1)
-	a.stats.garbage.Add(1)
-	ci := bufClassFor(c)
-	cl := &a.classes[ci]
-	cl.cur = append(cl.cur, b[:0])
-	if len(cl.cur) >= a.threshold {
-		a.releaseClass(cl)
-	}
-}
-
-func (a *BufAllocator) releaseClass(cl *bufClass) {
-	if len(cl.cur) == 0 {
-		return
-	}
-	cl.released = append(cl.released, bufBatch{items: cl.cur, snap: a.c.snapshot()})
-	cl.cur = nil
-}
-
-func (a *BufAllocator) collectClass(cl *bufClass) int {
-	reclaimed := 0
-	kept := cl.released[:0]
-	for _, b := range cl.released {
-		if a.c.safe(b.snap) {
-			cl.free = append(cl.free, b.items...)
-			reclaimed += len(b.items)
-		} else {
-			kept = append(kept, b)
-		}
-	}
-	cl.released = kept
-	if reclaimed > 0 {
-		a.stats.gcPasses.Add(1)
-		a.stats.collected.Add(uint64(reclaimed))
-	}
-	return reclaimed
+	a.classes[bufClassFor(c)].put(&a.owner, b[:0])
 }
 
 // FlushRelease stamps all pending frees across every size class.
 func (a *BufAllocator) FlushRelease() {
 	for i := range a.classes {
-		a.releaseClass(&a.classes[i])
+		a.classes[i].release(a.c)
 	}
 }
 
-// Stats returns the allocator's counters. Safe from any goroutine.
-func (a *BufAllocator) Stats() Stats { return a.stats.stats() }
-
-// BufPool is Pool for byte blocks: per-goroutine BufAllocators over one
-// Collector, with aggregate Stats. Ownership follows Pool's lease-and-adopt
-// scheme, so dropped sync.Pool references never leak allocators or their
-// retained block lists.
+// BufPool is the lease pool over BufAllocator: per-goroutine size-classed
+// block allocators over one Collector, with aggregate Stats.
 type BufPool struct {
-	c         *Collector
-	threshold int
-	stripes   *stripes[BufAllocator]
-	p         sync.Pool
-
-	mu  sync.Mutex
-	all []*BufAllocator
+	pool[BufAllocator, *BufAllocator]
 }
 
 // NewBufPool builds a buffer pool with its own Collector.
 func NewBufPool(threshold int) *BufPool {
-	return &BufPool{c: NewCollector(), threshold: threshold, stripes: newStripes[BufAllocator]()}
-}
-
-// Get leases a buffer allocator for the calling goroutine, trying the
-// caller's stripe slot first (see Pool.Get).
-func (p *BufPool) Get() *BufAllocator {
-	hint := stripeHint()
-	if a := p.stripes.take(hint); a != nil {
-		if a.leased.CompareAndSwap(false, true) {
-			p.stripes.hit(hint)
-			return a
-		}
-	}
-	p.stripes.miss()
-	for {
-		a, _ := p.p.Get().(*BufAllocator)
-		if a == nil {
-			return p.adoptOrCreate()
-		}
-		if a.leased.CompareAndSwap(false, true) {
-			return a
-		}
-	}
-}
-
-func (p *BufPool) adoptOrCreate() *BufAllocator {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, a := range p.all {
-		if a.leased.CompareAndSwap(false, true) {
-			return a
-		}
-	}
-	a := NewBufAllocator(p.c, p.threshold)
-	a.leased.Store(true)
-	p.all = append(p.all, a)
-	return a
-}
-
-// Put returns a leased allocator (must be quiescent), parking it in the
-// caller's stripe slot when free.
-func (p *BufPool) Put(a *BufAllocator) {
-	a.leased.Store(false)
-	if p.stripes.park(stripeHint(), a) {
-		return
-	}
-	p.p.Put(a)
-}
-
-// StripeStats reports the striped fast path's hit/miss split (see
-// Pool.StripeStats).
-func (p *BufPool) StripeStats() (hits, misses uint64) { return p.stripes.stats() }
-
-// Stats aggregates across every allocator the pool created.
-func (p *BufPool) Stats() Stats {
-	p.mu.Lock()
-	all := p.all
-	p.mu.Unlock()
-	var s Stats
-	for _, a := range all {
-		s.Add(a.Stats())
-	}
-	return s
+	p := &BufPool{}
+	p.init(threshold)
+	return p
 }

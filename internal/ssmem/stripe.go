@@ -10,12 +10,13 @@
 //
 // The stripe layer removes it: a small GOMAXPROCS-sized array of
 // cache-line-isolated parking slots, indexed by a goroutine-affine hint.
-// Put parks the allocator in the caller's slot; the next Get from the same
-// stripe takes it back with one uncontended atomic swap — no sync.Pool, no
-// GC interference, no cross-slot sharing. Goroutines that collide on a slot
-// (or arrive after a steal) simply fall through to the existing
-// sync.Pool + lease-and-adopt path, so the stripe is purely an affinity
-// accelerator: ownership, bounding, and the epoch protocol are unchanged.
+// Put parks the allocator in the slot its Get looked in; the next Get from
+// the same stripe takes it back with one uncontended atomic swap — no
+// sync.Pool, no GC interference, no cross-slot sharing. Goroutines that
+// collide on a slot (or arrive after a steal) simply fall through to the
+// existing sync.Pool + lease-and-adopt path, so the stripe is purely an
+// affinity accelerator: ownership, bounding, and the epoch protocol are
+// unchanged.
 package ssmem
 
 import (
@@ -72,8 +73,11 @@ func newStripes[A any]() *stripes[A] {
 // stripeHint derives a goroutine-affine stripe index. Goroutine stacks are
 // distinct heap allocations of at least 2 KiB, so the address of any stack
 // variable, with the low in-stack bits dropped, separates goroutines while
-// staying stable across the shallow call-depth differences between a Get and
-// its matching Put. A finalizing multiply spreads the surviving bits so the
+// staying stable across shallow call-depth differences between one Get and
+// the next. Only Gets compute it: Put parks an allocator under the hint of
+// the Get that leased it, because a server's Put runs far shallower than its
+// Gets (the request path sits kilobytes deeper on the stack than the loop
+// that unpins). A finalizing multiply spreads the surviving bits so the
 // mask sees all of them. This is affinity by goroutine rather than by P —
 // indistinguishable for the server's goroutine-per-connection loops, and
 // always safe: the hint only picks a slot, never protects anything.

@@ -42,6 +42,42 @@ func TestStripedFastPathAffinity(t *testing.T) {
 	}
 }
 
+// deepSink keeps deepGet's frames from being optimized away.
+var deepSink uint64
+
+// deepGet calls get depth frames down, each frame holding 1 KiB of stack.
+func deepGet(depth int, get func() *BufAllocator) *BufAllocator {
+	var pad [128]uint64
+	pad[depth%128] = uint64(depth)
+	if depth == 0 {
+		return get()
+	}
+	a := deepGet(depth-1, get)
+	deepSink += pad[(depth*7)%128]
+	return a
+}
+
+// TestStripedAffinityAcrossPutDepth: the server's Gets run kilobytes deeper
+// on the stack than the loop that Puts, so a hint taken at Put would name
+// another slot; Put parks under the hint of the Get that leased the
+// allocator, and the next Get from the same depth finds it. 64 stripes, so
+// a Put-side hint would miss almost always.
+func TestStripedAffinityAcrossPutDepth(t *testing.T) {
+	bp := NewBufPool(4)
+	bp.stripes = &stripes[BufAllocator]{slots: make([]stripeSlot[BufAllocator], maxStripes), mask: maxStripes - 1}
+	const rounds = 256
+	for i := 0; i < rounds; i++ {
+		a := deepGet(16, bp.Get)
+		a.OpStart()
+		a.Free(a.Alloc(64))
+		a.OpEnd()
+		bp.Put(a)
+	}
+	if hits, misses := bp.StripeStats(); hits < rounds-rounds/16 {
+		t.Fatalf("stripe fast path served %d of %d deep gets (misses=%d)", hits, rounds, misses)
+	}
+}
+
 // TestStripedPoolConcurrentChurn is the -race gate for the striped fast
 // path: many goroutines lease, allocate, free, and park concurrently while
 // GC cycles clear the sync.Pool underneath. The race detector asserts the
