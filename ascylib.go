@@ -121,10 +121,6 @@ func Capacity(n int) Option { return core.Capacity(n) }
 // MaxLevel sets a skip list's maximum tower height.
 func MaxLevel(n int) Option { return core.MaxLevel(n) }
 
-// ReadOnlyFail toggles ASCY3 (read-only unsuccessful updates); it is on by
-// default and only the "-no" ablation variants disable it internally.
-func ReadOnlyFail(b bool) Option { return core.ReadOnlyFail(b) }
-
 // New constructs the named algorithm. Names are listed by Algorithms; the
 // headline ones are "ht-clht-lb", "ht-clht-lf", and "bst-tk".
 func New(name string, opts ...Option) (Set, error) { return core.New(name, opts...) }

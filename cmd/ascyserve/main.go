@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -38,9 +37,6 @@ func main() {
 		capacity = flag.Int("capacity", 1<<16, "structure capacity (hash-table buckets, total across shards)")
 		shards   = flag.Int("shards", 1, "partition the keyspace across this many independent structure instances")
 		ordered  = flag.Bool("ordered", false, "order-preserving keyspace: serve mrange/mmin/mmax (lexicographic scans); shards become contiguous key ranges (best with a sorted structure, e.g. -algo sl-fraser-opt)")
-		accept   = flag.Int("accept", 0, "sharded-accept workers (0 = GOMAXPROCS, capped at 8)")
-		reuse    = flag.Bool("reuseport", false, "bind one SO_REUSEPORT listener per accept worker (kernel-sharded accept queues; falls back to one shared listener where unsupported)")
-		cpu      = flag.Int("cpu", 0, "cap GOMAXPROCS for the whole process (0 keeps the runtime default) — pins the server's core budget for scaling experiments")
 		maxItem  = flag.Int("maxitem", server.DefaultMaxItemSize, "maximum value size in bytes")
 		maxBatch = flag.Int("maxbatch", server.DefaultMaxBatch, "max pipelined requests executed per store pin (1 disables batching)")
 		idle     = flag.Duration("idletimeout", 0, "reclaim connections silent for this long (0 = server default of 5m, negative disables)")
@@ -54,9 +50,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *cpu > 0 {
-		runtime.GOMAXPROCS(*cpu)
-	}
 	if _, ok := core.Get(*algo); !ok {
 		fmt.Fprintf(os.Stderr, "ascyserve: unknown algorithm %q; pick one of:\n", *algo)
 		for _, a := range core.All() {
@@ -73,8 +66,6 @@ func main() {
 		Capacity:         *capacity,
 		Shards:           *shards,
 		Ordered:          *ordered,
-		AcceptWorkers:    *accept,
-		ReusePort:        *reuse,
 		MaxItemSize:      *maxItem,
 		MaxBatch:         *maxBatch,
 		IdleTimeout:      *idle,
@@ -96,11 +87,8 @@ func main() {
 	}
 	if !*quiet {
 		extra := ""
-		if s.ReusePortActive() {
-			extra = ", reuseport"
-		}
 		if *ordered {
-			extra += ", ordered"
+			extra = ", ordered"
 		}
 		fmt.Printf("ascyserve: %s serving %s (%d shard(s)%s) on %s\n", server.Version, *algo, s.Store().Shards(), extra, s.Addr())
 	}

@@ -34,13 +34,6 @@ func TestCapabilitiesConsistent(t *testing.T) {
 		if a.Ordered != wantOrdered {
 			t.Errorf("%s: Ordered=%v, want %v for structure %s", a.Name, a.Ordered, wantOrdered, a.Structure)
 		}
-		// Snapshot (the consistent-cut enumeration) is native exactly for
-		// the ordered families: lists, skip lists, and BSTs serve it
-		// through their single-walk Ascend (OrderedVia); the hash tables
-		// take the ForEach fallback.
-		if wantNative := a.Structure != ascylib.HashTable; c.NativeSnapshot != wantNative {
-			t.Errorf("%s: NativeSnapshot=%v, want %v for structure %s", a.Name, c.NativeSnapshot, wantNative, a.Structure)
-		}
 	}
 	for _, name := range []string{"ht-clht-lb", "ht-clht-lf"} {
 		a, ok := core.Get(name)

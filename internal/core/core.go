@@ -144,9 +144,6 @@ func Capacity(n int) Option { return func(c *Config) { c.Buckets = n } }
 // MaxLevel sets the maximum skip-list level.
 func MaxLevel(n int) Option { return func(c *Config) { c.MaxLevel = n } }
 
-// ReadOnlyFail toggles ASCY3 (read-only unsuccessful updates).
-func ReadOnlyFail(b bool) Option { return func(c *Config) { c.ReadOnlyFail = b } }
-
 // Recycler is implemented by structures that recycle their own nodes
 // through an SSMEM allocator; ht-urcu-ssmem is the one such structure, as in
 // the paper. Every other structure's nodes belong to the Go GC. RecycleStats
@@ -196,10 +193,6 @@ type Capabilities struct {
 	// NativeRange: ordered scans traverse the structure directly instead
 	// of snapshot-and-sort.
 	NativeRange bool
-	// NativeSnapshot: consistent-cut enumeration walks the structure
-	// under a single traversal instead of the ForEach fallback. See
-	// Snapshotter.
-	NativeSnapshot bool
 }
 
 // Caps probes the algorithm's native capabilities.
@@ -213,7 +206,6 @@ func (a Algorithm) Caps() Capabilities {
 	_, c.NativeGetOrInsert = s.(GetOrInserter)
 	_, c.NativeForEach = s.(Iterable)
 	_, c.NativeRange = s.(Ordered)
-	_, c.NativeSnapshot = s.(Snapshotter)
 	return c
 }
 

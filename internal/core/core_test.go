@@ -54,10 +54,10 @@ func TestNilConstructorPanics(t *testing.T) {
 
 func TestOptions(t *testing.T) {
 	cfg := DefaultConfig()
-	for _, o := range []Option{Capacity(9), MaxLevel(5), ReadOnlyFail(false)} {
+	for _, o := range []Option{Capacity(9), MaxLevel(5)} {
 		o(&cfg)
 	}
-	if cfg.Buckets != 9 || cfg.MaxLevel != 5 || cfg.ReadOnlyFail {
+	if cfg.Buckets != 9 || cfg.MaxLevel != 5 {
 		t.Fatalf("options not applied: %+v", cfg)
 	}
 }

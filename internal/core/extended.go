@@ -92,7 +92,6 @@ type extWrap struct {
 	u  Updater
 	g  GetOrInserter
 	it Iterable
-	sn Snapshotter
 	mu [updateStripes]sync.Mutex
 }
 
@@ -119,7 +118,6 @@ func Extend(s Set) Extended {
 	w.u, _ = s.(Updater)
 	w.g, _ = s.(GetOrInserter)
 	w.it, _ = s.(Iterable)
-	w.sn, _ = s.(Snapshotter)
 	if o, ok := s.(Ordered); ok {
 		// Keep the native ordered surface visible through the wrapper,
 		// so OrderedOf(Extend(s)) does not silently downgrade a sorted

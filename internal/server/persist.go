@@ -3,8 +3,8 @@
 //
 // SnapshotTo composes the format with the store's existing safety
 // machinery instead of inventing new locking: each shard's items are
-// enumerated through the facade's Snapshot capability (core.Snapshotter —
-// a single traversal) under a shard-local store pin, so value blocks cannot be recycled mid-copy and
+// enumerated by one ForEach walk of its structure (ShardSnapshot) under a
+// shard-local store pin, so value blocks cannot be recycled mid-copy and
 // serving continues on every other shard — and, for the lock-free
 // families, on the shard being walked. Liveness is judged at each shard
 // pin's single timestamp, the same rule every read path uses; expiry is

@@ -19,7 +19,7 @@
 //     structure, with value blocks recycled through SSMEM epochs. Pins
 //     capture the clock once; GetBatch serves a run of gets as one staged
 //     lookup.
-//   - server.go — the TCP front: a sharded-accept worker pool, one
+//   - server.go — the TCP front: one accept loop, one
 //     goroutine per connection, per-connection read/write buffering, and
 //     pipelining: requests execute in batches under a single store pin
 //     (epochs, pin-pool traffic, and clock reads amortize across the

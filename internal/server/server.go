@@ -41,11 +41,6 @@ type Config struct {
 	// it is opt-in: ordered placement is what makes scans cheap on the
 	// sorted structures, and what clusters buckets on a hash table.
 	Ordered bool
-	// AcceptWorkers is the size of the sharded-accept pool: that many
-	// goroutines block in Accept concurrently, so connection setup under
-	// a connect storm spreads across cores instead of serializing on one
-	// accept loop. <= 0 means GOMAXPROCS, capped at 8.
-	AcceptWorkers int
 	// MaxConns caps concurrently open connections. At the cap the accept
 	// path sheds: the newcomer gets one "SERVER_ERROR busy" line and an
 	// immediate close, so it learns the server is saturated instead of
@@ -59,13 +54,6 @@ type Config struct {
 	// and closes only that connection — never the process). Empty disables
 	// injection; production configs leave it empty.
 	ChaosPanicKey string
-	// ReusePort shards the listener itself: every accept worker gets its
-	// own SO_REUSEPORT socket bound to the same address, so the kernel
-	// hash-distributes incoming connections across per-worker accept
-	// queues instead of all workers contending on one queue's lock. On
-	// platforms without SO_REUSEPORT support this degrades gracefully to
-	// the single shared listener (ReusePortActive reports which).
-	ReusePort bool
 	// MaxItemSize bounds value blocks; <= 0 means DefaultMaxItemSize.
 	MaxItemSize int
 	// MaxBatch bounds how many pipelined requests one batch executes under
@@ -76,10 +64,8 @@ type Config struct {
 	// it. <= 0 picks DefaultMaxBatch; 1 disables batching (the per-command
 	// path, kept for differential testing and as the depth-1 baseline).
 	MaxBatch int
-	// ReadBufferSize / WriteBufferSize size the per-connection bufio
-	// buffers; <= 0 picks 64 KiB reads (never below MaxCommandLine) and
-	// 64 KiB writes.
-	ReadBufferSize  int
+	// WriteBufferSize sizes the per-connection response buffer; <= 0
+	// picks 64 KiB. (The read buffer is always 64 KiB.)
 	WriteBufferSize int
 	// WriteTimeout bounds each TCP write; a connection that cannot accept
 	// bytes for this long is closed. Bounded writes matter beyond hygiene:
@@ -112,31 +98,14 @@ type Config struct {
 	SnapshotInterval time.Duration
 	// Logf, when set, receives connection-level error logs.
 	Logf func(format string, args ...any)
-
-	// globalWireStats reverts the per-connection wire counters (see
-	// wirestats.go) to one shared slot that every connection writes —
-	// the pre-sharding behavior, where each request's bookkeeping bounced
-	// cache lines between every core serving traffic. It exists only as
-	// the reference side of the stats differential test; production paths
-	// never set it.
-	globalWireStats bool
 }
 
 func (c *Config) fill() {
 	if c.Algo == "" {
 		c.Algo = "ht-clht-lb"
 	}
-	if c.AcceptWorkers <= 0 {
-		c.AcceptWorkers = runtime.GOMAXPROCS(0)
-		if c.AcceptWorkers > 8 {
-			c.AcceptWorkers = 8
-		}
-	}
 	if c.MaxItemSize <= 0 {
 		c.MaxItemSize = DefaultMaxItemSize
-	}
-	if c.ReadBufferSize < MaxCommandLine {
-		c.ReadBufferSize = 64 << 10
 	}
 	if c.WriteBufferSize <= 0 {
 		c.WriteBufferSize = 64 << 10
@@ -177,9 +146,6 @@ type Server struct {
 	cfg   Config
 	store *Store
 	ln    net.Listener
-	// lns holds every bound listener: just ln normally, one per accept
-	// worker when SO_REUSEPORT sharding engaged (see Config.ReusePort).
-	lns   []net.Listener
 	start time.Time
 
 	mu     sync.Mutex
@@ -187,7 +153,7 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// draining flips when Shutdown begins: accept loops stop taking new
+	// draining flips when Shutdown begins: the accept loop stops taking new
 	// connections and connReader stops re-arming idle deadlines, so every
 	// handler finishes the requests already received and then exits at its
 	// next blocking read.
@@ -245,16 +211,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Seed one counter slot: the shared slot in globalWireStats mode, the
-	// first connection's otherwise.
-	ws0 := &wireStats{}
 	srv := &Server{
-		cfg:       cfg,
-		store:     st,
-		conns:     map[net.Conn]struct{}{},
-		statsAll:  []*wireStats{ws0},
-		statsFree: []*wireStats{ws0},
-		snapStop:  make(chan struct{}),
+		cfg:      cfg,
+		store:    st,
+		conns:    map[net.Conn]struct{}{},
+		snapStop: make(chan struct{}),
 	}
 	if cfg.SnapshotPath != "" {
 		// Warm restart. Never fatal: a missing file is a cold boot, a
@@ -273,63 +234,32 @@ func (s *Server) Store() *Store { return s.store }
 // Serve's startup is an ordinary sequence, not an error.
 var ErrServerClosed = errors.New("server: already closed")
 
-// install publishes freshly bound listeners, unless Close already won the
-// race — in which case the listeners are closed on the spot and the caller
+// install publishes a freshly bound listener, unless Close already won the
+// race — in which case the listener is closed on the spot and the caller
 // gets ErrServerClosed, so a Close that finished before Listen can never be
 // trumped by a server that starts serving afterwards.
-func (s *Server) install(lns []net.Listener) error {
+func (s *Server) install(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		for _, ln := range lns {
-			ln.Close()
-		}
+		ln.Close()
 		return ErrServerClosed
 	}
-	s.ln, s.lns = lns[0], lns
+	s.ln = ln
 	s.start = time.Now()
 	s.mu.Unlock()
 	return nil
 }
 
 // Listen binds the configured address. After Listen returns, Addr reports
-// the actual address (useful with port 0). With ReusePort set on a capable
-// platform, one SO_REUSEPORT listener is bound per accept worker — the
-// first on the configured address, the rest on the concrete address it
-// resolved to (so ":0" sweeps work: every sibling binds the chosen port).
+// the actual address (useful with port 0).
 func (s *Server) Listen() error {
-	if s.cfg.ReusePort && reusePortAvailable && s.cfg.AcceptWorkers > 1 {
-		ln, err := listenReusePort(s.cfg.Addr)
-		if err != nil {
-			return err
-		}
-		lns := []net.Listener{ln}
-		for i := 1; i < s.cfg.AcceptWorkers; i++ {
-			sib, err := listenReusePort(ln.Addr().String())
-			if err != nil {
-				for _, l := range lns {
-					l.Close()
-				}
-				return err
-			}
-			lns = append(lns, sib)
-		}
-		return s.install(lns)
-	}
-	if s.cfg.ReusePort && !reusePortAvailable {
-		s.logf("server: SO_REUSEPORT unavailable on this platform; using one shared listener")
-	}
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return err
 	}
-	return s.install([]net.Listener{ln})
+	return s.install(ln)
 }
-
-// ReusePortActive reports whether the accept path is running one
-// SO_REUSEPORT listener per worker (false before Listen, or when the
-// platform forced the shared-listener fallback).
-func (s *Server) ReusePortActive() bool { return len(s.lns) > 1 }
 
 // Addr returns the bound listen address; nil before Listen.
 func (s *Server) Addr() net.Addr {
@@ -339,7 +269,7 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// Serve runs the accept pool and blocks until Close. It returns nil on a
+// Serve runs the accept loop and blocks until Close. It returns nil on a
 // clean shutdown.
 func (s *Server) Serve() error {
 	if s.ln == nil {
@@ -356,18 +286,7 @@ func (s *Server) Serve() error {
 			go s.snapshotLoop()
 		})
 	}
-	var awg sync.WaitGroup
-	for i := 0; i < s.cfg.AcceptWorkers; i++ {
-		// With per-worker SO_REUSEPORT listeners each worker accepts on
-		// its own socket; otherwise every worker shares the one listener.
-		ln := s.lns[i%len(s.lns)]
-		awg.Add(1)
-		go func() {
-			defer awg.Done()
-			s.acceptLoop(ln)
-		}()
-	}
-	awg.Wait()
+	s.acceptLoop()
 	s.wg.Wait()
 	return nil
 }
@@ -397,15 +316,15 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	lns := s.lns
+	ln := s.ln
 	for c := range s.conns {
 		c.Close()
 	}
 	s.mu.Unlock()
 	s.stopSnapshotLoop()
 	var err error
-	for _, ln := range lns {
-		if cerr := ln.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) && err == nil {
+	if ln != nil {
+		if cerr := ln.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
 			err = cerr
 		}
 	}
@@ -429,13 +348,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		return nil
 	}
-	lns := s.lns
+	ln := s.ln
 	conns := make([]net.Conn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
-	for _, ln := range lns {
+	if ln != nil {
 		ln.Close()
 	}
 	// Wake every blocked read with an already-past deadline. Requests whose
@@ -480,11 +399,11 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// acceptLoop is one worker of the sharded-accept pool, accepting on its
-// assigned listener.
-func (s *Server) acceptLoop(ln net.Listener) {
+// acceptLoop accepts connections until the listener closes, starting one
+// handler goroutine per connection.
+func (s *Server) acceptLoop() {
 	for {
-		c, err := ln.Accept()
+		c, err := s.ln.Accept()
 		if err != nil {
 			s.mu.Lock()
 			closed := s.closed
@@ -572,7 +491,7 @@ func (s *Server) handleConn(c net.Conn) {
 	ws := s.acquireWireStats()
 	defer s.releaseWireStats(ws)
 	r := newConnReader(c, s, ws)
-	br := newReader(r, s.cfg.ReadBufferSize)
+	br := newReader(r, 64<<10)
 	cw := &connWriter{c: c, ws: ws, timeout: s.cfg.WriteTimeout}
 	bw := newWriter(cw, s.cfg.WriteBufferSize)
 	var b Batch
@@ -883,7 +802,7 @@ func (s *Server) Stats() [][2]string {
 		{"algo", s.store.Algo()},
 		{"shards", strconv.Itoa(s.store.Shards())},
 		{"ordered", yesNo(s.store.Ordered())},
-		{"threads", strconv.Itoa(s.cfg.AcceptWorkers)},
+		{"threads", strconv.Itoa(runtime.GOMAXPROCS(0))},
 		{"curr_connections", strconv.FormatInt(s.currConns.Load(), 10)},
 		{"total_connections", u(s.totalConns.Load())},
 	}

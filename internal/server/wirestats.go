@@ -123,15 +123,10 @@ func (w *wireStats) addInto(t *wireTotals) {
 
 // acquireWireStats leases a counter slot for one connection: a parked slot
 // when one is free, a fresh one otherwise (the registry is append-only, so
-// aggregation never misses counts from live or retired slots). With the
-// globalWireStats reference mode on, every connection shares slot 0 — the
-// exact pre-sharding behavior, kept as the differential-test baseline.
+// aggregation never misses counts from live or retired slots).
 func (s *Server) acquireWireStats() *wireStats {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	if s.cfg.globalWireStats {
-		return s.statsAll[0]
-	}
 	if n := len(s.statsFree); n > 0 {
 		ws := s.statsFree[n-1]
 		s.statsFree[n-1] = nil
@@ -148,9 +143,6 @@ func (s *Server) acquireWireStats() *wireStats {
 func (s *Server) releaseWireStats(ws *wireStats) {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	if s.cfg.globalWireStats {
-		return
-	}
 	s.statsFree = append(s.statsFree, ws)
 }
 

@@ -42,7 +42,7 @@ type IntKey interface {
 // other.
 type Map[K IntKey, V any] struct {
 	set    core.Extended
-	raw    core.Set // the unwrapped structure (recycling stats, snapshots)
+	raw    core.Set // the unwrapped structure (recycling stats)
 	ord    core.Ordered
 	native bool
 	signed bool
@@ -263,17 +263,6 @@ func (m *Map[K, V]) decoded(yield func(K, V) bool) func(core.Key, core.Value) bo
 		v, valid := m.load(w)
 		return !valid || yield(m.dec(k), v)
 	}
-}
-
-// Snapshot enumerates entries through the backing structure's
-// consistent-cut traversal (core.Snapshotter) and reports whether that
-// traversal is the structure's own single-walk cut (native == true) or the
-// ForEach fallback. Each yielded entry was live at some instant during the
-// call; entries deleted under the scan are skipped, exactly as in ForEach.
-func (m *Map[K, V]) Snapshot(yield func(K, V) bool) bool {
-	sn, native := core.SnapshotterOf(m.raw)
-	sn.Snapshot(m.decoded(yield))
-	return native
 }
 
 // NativeOrder reports whether the backing structure enumerates in key order

@@ -39,8 +39,8 @@ import (
 //
 // What aggregates and what does not: per-key operations route to exactly one
 // shard; Len and RecycleStats sum across shards; ForEach enumerates shard by
-// shard (no cross-shard snapshot), and ShardSnapshot takes one shard's
-// consistent cut. In hash mode there is no Range — hashing destroys order.
+// shard (no cross-shard snapshot), and ShardSnapshot walks one shard. In
+// hash mode there is no Range — hashing destroys order.
 //
 // The ordered mode (NewOrderedShardedStringMap) changes both halves:
 // shards are keyed by the big-endian 8-byte prefix with sorted collision
@@ -594,15 +594,15 @@ func (s *ShardedStringMap[V]) ForEach(yield func(k string, v V) bool) {
 	}
 }
 
-// ShardSnapshot enumerates shard sh's entries through its core's
-// consistent-cut traversal (see Map.Snapshot) until yield returns false,
-// and reports whether the cut is native. A whole collision chain is one
-// immutable entry loaded from its slot at once, so every key in a chain is
-// observed at the same instant — a chain can never be half-snapshotted.
+// ShardSnapshot enumerates shard sh's entries through its core's ForEach
+// until yield returns false. Each yielded entry was live at some instant
+// during the call, and no key is yielded twice. A whole collision chain is
+// one immutable entry loaded from its slot at once, so every key in a chain
+// is observed at the same instant — a chain can never be half-snapshotted.
 // Callers that walk the shards one by one (the server's snapshot writer and
 // flush sweep) bracket each walk in that shard's epoch.
-func (s *ShardedStringMap[V]) ShardSnapshot(sh int, yield func(k string, v V) bool) (native bool) {
-	return s.shards[sh].Snapshot(func(_ uint64, head chainNode[V]) bool { return head.each(yield) })
+func (s *ShardedStringMap[V]) ShardSnapshot(sh int, yield func(k string, v V) bool) {
+	s.shards[sh].ForEach(func(_ uint64, head chainNode[V]) bool { return head.each(yield) })
 }
 
 // RecycleStats sums the SSMEM allocator counters of every shard's backing
