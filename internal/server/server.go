@@ -89,8 +89,10 @@ type Config struct {
 	// restart — a corrupt or truncated file logs loudly and boots empty,
 	// never crashes), the msnap verb snapshots to it on demand, Shutdown
 	// writes a final snapshot after the drain, and SnapshotInterval adds
-	// a background ticker. Writes are crash-safe (temp + fsync + atomic
-	// rename): dying mid-write leaves the previous file intact.
+	// a background ticker. Shutdown and the ticker skip the write while
+	// no shard has changed since the file was last written or loaded.
+	// Writes are crash-safe (temp + fsync + atomic rename): dying
+	// mid-write leaves the previous file intact.
 	SnapshotPath string
 	// SnapshotInterval is the background snapshot period; 0 disables the
 	// ticker (msnap and the shutdown snapshot still work). Ignored
@@ -180,7 +182,9 @@ type Server struct {
 	// Persistence bookkeeping (see serversnap.go). snapMu single-flights
 	// snapshot writes: the ticker, msnap, and the shutdown snapshot
 	// serialize on it, so two writers can never race on the temp file.
+	// It also guards snapFile.
 	snapMu       sync.Mutex
+	snapFile     snapFile
 	snapStop     chan struct{}
 	snapStopOnce sync.Once
 	snapLoopOnce sync.Once
@@ -207,7 +211,10 @@ func New(cfg Config) (*Server, error) {
 	} else if !a.Safe {
 		return nil, fmt.Errorf("server: algorithm %q is an unsynchronized async baseline; refusing to serve it", cfg.Algo)
 	}
-	st, err := NewStore(cfg.Algo, cfg.Capacity, true, cfg.Shards, cfg.Ordered)
+	newStore := func() (*Store, error) {
+		return NewStore(cfg.Algo, cfg.Capacity, true, cfg.Shards, cfg.Ordered)
+	}
+	st, err := newStore()
 	if err != nil {
 		return nil, err
 	}
@@ -217,11 +224,14 @@ func New(cfg Config) (*Server, error) {
 		conns:    map[net.Conn]struct{}{},
 		snapStop: make(chan struct{}),
 	}
-	if cfg.SnapshotPath != "" {
-		// Warm restart. Never fatal: a missing file is a cold boot, a
-		// damaged one logs loudly and boots empty (the file itself is
-		// left in place for the operator).
-		srv.loadSnapshot()
+	// Warm restart. Never fatal: a missing file is a cold boot, a damaged
+	// one logs loudly and boots empty (the file itself is left in place
+	// for the operator). Nothing is served before New returns, so the
+	// half-loaded store of a failed load is simply dropped.
+	if cfg.SnapshotPath != "" && !srv.loadSnapshot() {
+		if srv.store, err = newStore(); err != nil {
+			return nil, err
+		}
 	}
 	return srv, nil
 }
@@ -379,11 +389,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Final snapshot, after the drain boundary: every request the server
 	// accepted before Shutdown has executed, so the cut is the server's
-	// last word — what a warm restart will serve. Failure is logged and
-	// counted, never fatal to the shutdown.
+	// last word — what a warm restart will serve. When the file already
+	// holds that (no write since the last snapshot or the boot load), it
+	// is left as it is. Failure is logged and counted, never fatal to the
+	// shutdown.
 	if s.cfg.SnapshotPath != "" {
 		s.stopSnapshotLoop()
-		if _, _, serr := s.TakeSnapshot(); serr != nil {
+		if serr := s.snapshotIfChanged(); serr != nil {
 			s.logf("server: final snapshot: %v", serr)
 		}
 	}

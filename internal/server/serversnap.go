@@ -21,25 +21,76 @@ import (
 // Recoverable, like respOrderedDisabled: the connection keeps serving.
 const respSnapshotDisabled = "SERVER_ERROR snapshot disabled (start with -snapshot)"
 
+// snapFile is what the server knows of the file at SnapshotPath: whether
+// its last write of the file, or its boot load from it, succeeded, and the
+// size and modification time the file had then.
+type snapFile struct {
+	ok    bool
+	size  int64
+	mtime time.Time
+}
+
 // TakeSnapshot writes a snapshot of the live keyspace to the configured
 // path via the crash-safe protocol (temp file + fsync + atomic rename) and
-// returns what it wrote. Concurrent callers serialize on snapMu — at most
-// one snapshot write is in flight — while serving continues untouched: the
-// cut holds only one shard's epoch at a time, never a store-wide lock.
+// returns what it wrote. It always writes; the ticker and Shutdown go
+// through snapshotIfChanged instead. Concurrent callers serialize on
+// snapMu — at most one snapshot write is in flight — while serving
+// continues untouched: the cut holds only one shard's epoch at a time,
+// never a store-wide lock.
 func (s *Server) TakeSnapshot() (items uint64, size int64, err error) {
 	if s.cfg.SnapshotPath == "" {
 		return 0, 0, errors.New("server: snapshot disabled (no SnapshotPath)")
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	size, err = snapshot.WriteFile(s.cfg.SnapshotPath, func(f io.Writer) error {
+	return s.writeSnapshot()
+}
+
+// snapshotIfChanged writes a snapshot unless the file already holds the
+// store: an update that finds nothing to change stores nothing, and
+// rewriting and fsyncing an unchanged keyspace is exactly such an update.
+func (s *Server) snapshotIfChanged() error {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	if s.snapshotCurrent() {
+		return nil
+	}
+	_, _, err := s.writeSnapshot()
+	return err
+}
+
+// snapshotCurrent reports whether the file at SnapshotPath holds the
+// store: no shard changed since the last successful write or boot load,
+// and the file still has the size and modification time that write or
+// load saw, so nobody replaced, moved or truncated it since. The caller
+// holds snapMu.
+func (s *Server) snapshotCurrent() bool {
+	if !s.snapFile.ok || !s.store.clean() {
+		return false
+	}
+	fi, err := os.Stat(s.cfg.SnapshotPath)
+	return err == nil && fi.Size() == s.snapFile.size && fi.ModTime().Equal(s.snapFile.mtime)
+}
+
+// writeSnapshot is one snapshot write and its bookkeeping; the caller
+// holds snapMu.
+func (s *Server) writeSnapshot() (items uint64, size int64, err error) {
+	path := s.cfg.SnapshotPath
+	size, err = snapshot.WriteFile(path, func(f io.Writer) error {
 		var serr error
 		items, serr = s.store.SnapshotTo(f)
 		return serr
 	})
+	s.snapFile.ok = false
 	if err != nil {
+		// The walk cleared the flags of the shards it reached, but their
+		// cut never reached the path.
+		s.store.markAllDirty()
 		s.snapErrs.Add(1)
 		return items, size, err
+	}
+	if fi, serr := os.Stat(path); serr == nil {
+		s.snapFile = snapFile{ok: true, size: fi.Size(), mtime: fi.ModTime()}
 	}
 	s.snapLastUnix.Store(time.Now().Unix())
 	s.snapCount.Add(1)
@@ -49,7 +100,8 @@ func (s *Server) TakeSnapshot() (items uint64, size int64, err error) {
 }
 
 // snapshotLoop is the background ticker (Config.SnapshotInterval). It runs
-// until stopSnapshotLoop; errors are counted and logged, never fatal.
+// until stopSnapshotLoop; a tick on an unchanged store writes nothing, and
+// errors are counted and logged, never fatal.
 func (s *Server) snapshotLoop() {
 	defer s.snapWG.Done()
 	t := time.NewTicker(s.cfg.SnapshotInterval)
@@ -59,7 +111,7 @@ func (s *Server) snapshotLoop() {
 		case <-s.snapStop:
 			return
 		case <-t.C:
-			if _, _, err := s.TakeSnapshot(); err != nil {
+			if err := s.snapshotIfChanged(); err != nil {
 				s.logf("server: background snapshot: %v", err)
 			}
 		}
@@ -74,59 +126,62 @@ func (s *Server) stopSnapshotLoop() {
 }
 
 // loadSnapshot is the warm-boot path, called from New when SnapshotPath is
-// set. The file is fully verified before a single item is inserted — the
-// empty-or-previous guarantee: a damaged file (any truncation, any CRC
-// mismatch) loads nothing at all, logs loudly, and the server boots empty
-// with the file left in place for the operator. A missing file is an
-// ordinary cold boot.
-func (s *Server) loadSnapshot() {
+// set. It reads the file once (Store.LoadFrom) and reports whether the
+// store is fit to serve. A damaged file — any truncation, any CRC or
+// count mismatch — fails the load, possibly after some blocks were
+// inserted, and the caller replaces the store with an empty one before
+// anything is served: the empty-or-previous guarantee. The failure is
+// logged loudly and the file is left in place for the operator. A missing
+// file is an ordinary cold boot.
+func (s *Server) loadSnapshot() (keep bool) {
 	path := s.cfg.SnapshotPath
 	start := time.Now()
-	if _, _, err := snapshot.VerifyFile(path); err != nil {
-		if os.IsNotExist(err) {
-			return // cold boot: no snapshot yet
-		}
-		s.snapErrs.Add(1)
-		s.logf("server: SNAPSHOT REJECTED: %s failed verification (%v); booting with an EMPTY store — the file is untouched", path, err)
-		return
-	}
 	f, err := os.Open(path)
 	if err != nil {
-		s.snapErrs.Add(1)
-		s.logf("server: snapshot open %s: %v; booting empty", path, err)
-		return
+		if !os.IsNotExist(err) {
+			s.snapErrs.Add(1)
+			s.logf("server: snapshot open %s: %v; booting empty", path, err)
+		}
+		return true // nothing was loaded
 	}
 	defer f.Close()
-	res, err := s.store.LoadFrom(f)
-	if err != nil {
-		// Verified a moment ago, so this is a racing writer or an I/O
-		// fault mid-read; whatever loaded stays (items are individually
-		// valid — every record clears its block CRC before it is
-		// returned), and the error is loud.
-		s.snapErrs.Add(1)
-		s.logf("server: snapshot load %s: %v after %d items; continuing with the partial load", path, err, res.Loaded)
+	fi, err := f.Stat()
+	var res LoadResult
+	if err == nil {
+		res, err = s.store.LoadFrom(f)
 	}
+	if err != nil {
+		s.snapErrs.Add(1)
+		s.logf("server: SNAPSHOT REJECTED: %s failed verification (%v); booting with an EMPTY store — the file is untouched", path, err)
+		return false
+	}
+	// The store holds what the file holds: until a write, there is
+	// nothing to snapshot.
+	s.store.markClean()
+	s.snapFile = snapFile{ok: true, size: fi.Size(), mtime: fi.ModTime()}
 	s.loadedItems.Store(res.Loaded)
 	s.loadExpired.Store(res.Expired)
 	s.loadMicros.Store(time.Since(start).Microseconds())
 	s.logf("server: warm restart: loaded %d items from %s in %s (%d already-expired records skipped)",
 		res.Loaded, path, time.Since(start).Round(time.Millisecond), res.Expired)
+	return true
 }
 
 // emitFinalStats prints the post-mortem line, exactly once, whichever path
 // closes the server. It lives here on the server (not in cmd/ascyserve's
 // signal handler) so embedded and test users get a last word too — a chaos
 // harness killing nodes greps for it. Quiet without Config.Logf, like all
-// server logging.
+// server logging. It reads its eight counters directly: Stats would also
+// walk the whole store for curr_items, which the line does not print.
 func (s *Server) emitFinalStats() {
 	s.finalStats.Do(func() {
 		if s.cfg.Logf == nil {
 			return
 		}
-		st := s.StatsMap()
-		s.logf("server: final stats: conns=%s gets=%s sets=%s panics=%s shed=%s snapshots=%s snapshot_errors=%s loaded_items=%s",
-			st["total_connections"], st["cmd_get"], st["cmd_set"],
-			st["handler_panics"], st["conns_shed"],
-			st["snapshots_taken"], st["snapshot_errors"], st["loaded_items"])
+		t := s.wireTotals()
+		s.logf("server: final stats: conns=%d gets=%d sets=%d panics=%d shed=%d snapshots=%d snapshot_errors=%d loaded_items=%d",
+			s.totalConns.Load(), t.n[cCmdGet], t.n[cCmdSet],
+			s.panics.Load(), s.shed.Load(),
+			s.snapCount.Load(), s.snapErrs.Load(), s.loadedItems.Load())
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -556,6 +557,86 @@ func TestServerBootFromCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// TestServerBootFromDamagedSnapshotTail pins the all-or-nothing boot where
+// it is hardest to keep: the damage sits after whole blocks of valid
+// records, so a loader that inserts as it reads has already stored some of
+// them when it meets the fault. Every boot must still end empty, counted,
+// logged, with the file untouched and the server serving.
+func TestServerBootFromDamagedSnapshotTail(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.db")
+	src := startSnapServer(t, Config{Algo: "ht-clht-lb", Shards: 2, SnapshotPath: good})
+	val := bytes.Repeat([]byte("v"), 1024)
+	p := src.Store().Pin()
+	for i := 0; i < 2000; i++ {
+		src.Store().Set(p, []byte(fmt.Sprintf("key-%05d", i)), 0, 0, val)
+	}
+	p.Unpin()
+	if _, _, err := src.TakeSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+	b, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The file ends: last block payload | terminator (4) | items (8) | file CRC (4).
+	damage := map[string]func([]byte) []byte{
+		"truncated-mid-block": func(b []byte) []byte { return b[:len(b)*3/4] },
+		"flipped-last-block": func(b []byte) []byte {
+			b[len(b)-16-10] ^= 0x40
+			return b
+		},
+		"tampered-count": func(b []byte) []byte {
+			b[len(b)-12]++
+			return b
+		},
+	}
+	for name, fn := range damage {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name+".db")
+			bad := fn(append([]byte(nil), b...))
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var logs []string
+			var mu sync.Mutex
+			s := startSnapServer(t, Config{Algo: "ht-clht-lb", Shards: 2, SnapshotPath: path, Logf: func(f string, a ...any) {
+				mu.Lock()
+				logs = append(logs, fmt.Sprintf(f, a...))
+				mu.Unlock()
+			}})
+			st := s.StatsMap()
+			if st["loaded_items"] != "0" || st["curr_items"] != "0" || st["snapshot_errors"] != "1" {
+				t.Fatalf("damaged boot: loaded=%s curr=%s errs=%s", st["loaded_items"], st["curr_items"], st["snapshot_errors"])
+			}
+			mu.Lock()
+			joined := strings.Join(logs, "\n")
+			mu.Unlock()
+			if !strings.Contains(joined, "SNAPSHOT REJECTED") {
+				t.Fatalf("damaged snapshot not logged loudly: %q", joined)
+			}
+			if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, bad) {
+				t.Fatalf("damaged file was changed (err=%v)", err)
+			}
+			c, err := Dial(s.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Set("k", 0, 0, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if e, ok, err := c.Get("k"); err != nil || !ok || string(e.Data) != "v" {
+				t.Fatalf("get after damaged boot: %+v ok=%v err=%v", e, ok, err)
+			}
+			if _, ok, err := c.Get("key-00000"); err != nil || ok {
+				t.Fatalf("a record of the damaged file is served (ok=%v err=%v)", ok, err)
+			}
+		})
+	}
+}
+
 func TestServerBackgroundSnapshotTicker(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap.db")
@@ -625,5 +706,292 @@ func TestServerFinalStatsEmitted(t *testing.T) {
 		if !strings.Contains(line, field) {
 			t.Fatalf("final stats line missing %q: %q", field, line)
 		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Skipping the unchanged snapshot: Shutdown and the ticker leave the file
+// alone while no shard changed since it was written or loaded, and write
+// after any change, failure, or outside interference.
+// ---------------------------------------------------------------------------
+
+// shutdownServer drains s within five seconds.
+func shutdownServer(t *testing.T, s *Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// statFile stats path or fails the test.
+func statFile(t *testing.T, path string) os.FileInfo {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi
+}
+
+// sameFile reports whether a and b are one inode with one modification
+// time: a file no write has replaced or touched in between.
+func sameFile(a, b os.FileInfo) bool { return os.SameFile(a, b) && a.ModTime().Equal(b.ModTime()) }
+
+// seededSnapServer boots a snapshotting server, stores key-0..key-9 (with
+// numeric values, for incr) and cuts one msnap.
+func seededSnapServer(t *testing.T, path string) (*Server, *Client) {
+	t.Helper()
+	s := startSnapServer(t, Config{Algo: "ht-clht-lb", Shards: 4, SnapshotPath: path})
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for i := 0; i < 10; i++ {
+		if err := c.Set(fmt.Sprintf("key-%d", i), 0, 0, []byte(fmt.Sprint(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.MSnap(); err != nil {
+		t.Fatal(err)
+	}
+	return s, c
+}
+
+func TestServerSnapshotSkipAfterMSnap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.db")
+	s, _ := seededSnapServer(t, path)
+	before := statFile(t, path)
+	shutdownServer(t, s)
+	if !sameFile(before, statFile(t, path)) {
+		t.Fatal("Shutdown right after msnap rewrote the file")
+	}
+	if got := s.StatsMap()["snapshots_taken"]; got != "1" {
+		t.Fatalf("snapshots_taken = %s after msnap and an unchanged Shutdown, want 1", got)
+	}
+	// The same holds for a server that booted from the file and wrote
+	// nothing: the boot load vouches for the file as a write would.
+	s2 := startSnapServer(t, Config{Algo: "ht-clht-lb", Shards: 4, SnapshotPath: path})
+	if got := s2.StatsMap()["loaded_items"]; got != "10" {
+		t.Fatalf("warm boot loaded_items = %s, want 10", got)
+	}
+	shutdownServer(t, s2)
+	if !sameFile(before, statFile(t, path)) {
+		t.Fatal("Shutdown of an unchanged warm-booted server rewrote the file")
+	}
+	if got := s2.StatsMap()["snapshots_taken"]; got != "0" {
+		t.Fatalf("snapshots_taken = %s, want 0", got)
+	}
+}
+
+func TestServerSnapshotSkipRewritesAfterWrite(t *testing.T) {
+	for name, write := range map[string]func(*Client) error{
+		"set":         func(c *Client) error { return c.Set("key-new", 0, 0, []byte("v")) },
+		"delete":      func(c *Client) error { _, err := c.Delete("key-3"); return err },
+		"incr":        func(c *Client) error { _, _, err := c.Incr("key-4", 1); return err },
+		"flush_all 0": func(c *Client) error { return c.FlushAll() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "snap.db")
+			s, c := seededSnapServer(t, path)
+			before := statFile(t, path)
+			if err := write(c); err != nil {
+				t.Fatal(err)
+			}
+			shutdownServer(t, s)
+			if sameFile(before, statFile(t, path)) {
+				t.Fatalf("Shutdown after %s left the msnap file in place", name)
+			}
+			if got := s.StatsMap()["snapshots_taken"]; got != "2" {
+				t.Fatalf("snapshots_taken = %s, want 2", got)
+			}
+		})
+	}
+}
+
+// TestServerSnapshotSkipDelayedFlush: a flush_all epoch still in the future
+// changes what the store serves without a write, so a snapshot cut before
+// it must not leave the store clean.
+func TestServerSnapshotSkipDelayedFlush(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.db")
+	var clock atomic.Int64
+	clock.Store(time.Now().Unix())
+	s, err := New(Config{Algo: "ht-clht-lb", Shards: 2, Addr: "127.0.0.1:0", SnapshotPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.store.now = clock.Load
+	t.Cleanup(func() { s.Close() })
+	st := s.Store()
+	p := st.Pin()
+	for i := 0; i < 10; i++ {
+		st.Set(p, []byte(fmt.Sprintf("key-%d", i)), 0, 0, []byte("v"))
+	}
+	st.FlushAll(p, 100)
+	p.Unpin()
+	if _, _, err := s.TakeSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if st.clean() {
+		t.Fatal("a snapshot cut before a pending flush_all epoch left the store clean")
+	}
+	before := statFile(t, path)
+	clock.Add(101)
+	shutdownServer(t, s)
+	if sameFile(before, statFile(t, path)) {
+		t.Fatal("Shutdown after the flush epoch passed left the pre-flush file in place")
+	}
+	s2 := startSnapServer(t, Config{Algo: "ht-clht-lb", Shards: 2, SnapshotPath: path})
+	if got := s2.StatsMap()["loaded_items"]; got != "0" {
+		t.Fatalf("warm boot after the flush loaded %s items, want 0", got)
+	}
+	c, err := Dial(s2.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, ok, err := c.Get("key-0"); err != nil || ok {
+		t.Fatalf("a flushed key is served after the warm boot (ok=%v err=%v)", ok, err)
+	}
+}
+
+// TestServerSnapshotSkipIdleTicker: the ticker writes the first change and
+// then nothing until the next one.
+func TestServerSnapshotSkipIdleTicker(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.db")
+	s := startSnapServer(t, Config{Algo: "ht-clht-lb", SnapshotPath: path, SnapshotInterval: 10 * time.Millisecond})
+	c, err := Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitTaken := func(want string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.StatsMap()["snapshots_taken"] != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("snapshots_taken never reached %s", want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if err := c.Set("k", 0, 0, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	waitTaken("1")
+	time.Sleep(150 * time.Millisecond) // fifteen idle ticks
+	if got := s.StatsMap()["snapshots_taken"]; got != "1" {
+		t.Fatalf("idle ticker kept writing: snapshots_taken = %s, want 1", got)
+	}
+	if err := c.Set("k2", 0, 0, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	waitTaken("2")
+}
+
+// TestServerSnapshotSkipFailedWrite: a snapshot that fails leaves the store
+// dirty, so the next attempt writes.
+func TestServerSnapshotSkipFailedWrite(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snaps")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "snap.db")
+	s, c := seededSnapServer(t, path)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.MSnap(); err == nil {
+		t.Fatal("msnap into a removed directory succeeded")
+	}
+	if s.Store().clean() {
+		t.Fatal("a failed snapshot left the store clean")
+	}
+	if got := s.StatsMap()["snapshot_errors"]; got != "1" {
+		t.Fatalf("snapshot_errors = %s, want 1", got)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	shutdownServer(t, s)
+	if _, items, err := snapshot.VerifyFile(path); err != nil || items != 10 {
+		t.Fatalf("Shutdown after a failed snapshot: items=%d err=%v", items, err)
+	}
+}
+
+// TestServerSnapshotSkipMovedFile: a clean store is written again when the
+// file it matches is no longer at the path.
+func TestServerSnapshotSkipMovedFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.db")
+	s, _ := seededSnapServer(t, path)
+	if err := os.Rename(path, path+".moved"); err != nil {
+		t.Fatal(err)
+	}
+	shutdownServer(t, s)
+	if _, items, err := snapshot.VerifyFile(path); err != nil || items != 10 {
+		t.Fatalf("Shutdown after the file moved away: items=%d err=%v", items, err)
+	}
+}
+
+// TestStoreLoadParallelMatchesSerialReplay: the parallel load gives the
+// store a serial replay of the stream gives — the last live record of each
+// key wins — when duplicates of a key sit in different blocks, and counts
+// each key once.
+func TestStoreLoadParallelMatchesSerialReplay(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	now := time.Now().Unix()
+	type val struct {
+		data     string
+		flags    uint32
+		expireAt int64
+	}
+	want := map[string]val{}
+	var buf bytes.Buffer
+	w, err := snapshot.NewWriter(&buf, snapshot.Header{Algo: "ht-clht-lb", Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 40,000 records of ~100 bytes over 1,000 keys: about 60 blocks, each
+	// key about 40 times, spread over them. Every seventh record is
+	// already expired, which a replay skips without touching the key.
+	for i := 0; i < 40_000; i++ {
+		k := fmt.Sprintf("key-%04d", (i*7919)%1000)
+		v := val{data: fmt.Sprintf("%096d", i), flags: uint32(i)}
+		if i%7 == 0 {
+			v.expireAt = now - 10
+		}
+		if err := w.Add([]byte(k), v.flags, v.expireAt, []byte(v.data)); err != nil {
+			t.Fatal(err)
+		}
+		if v.expireAt == 0 {
+			want[k] = v
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStore("ht-clht-lb", 0, true, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.LoadFrom(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Loaded != uint64(len(want)) || res.Expired != 40_000/7+1 || st.Items() != len(want) {
+		t.Fatalf("Loaded=%d Expired=%d Items=%d, want %d, %d, %d", res.Loaded, res.Expired, st.Items(), len(want), 40_000/7+1, len(want))
+	}
+	p := st.Pin()
+	defer p.Unpin()
+	for k, v := range want {
+		it, ok := st.Get(p, []byte(k))
+		if !ok || string(it.Data) != v.data || it.Flags != v.flags || it.ExpireAt != v.expireAt {
+			t.Fatalf("%s = %q/%d/%d (ok=%v), want the last record %q/%d/%d", k, it.Data, it.Flags, it.ExpireAt, ok, v.data, v.flags, v.expireAt)
+		}
+	}
+	if bs := st.BufStats(); bs.Allocs-bs.Frees != uint64(len(want)) {
+		t.Fatalf("%d value blocks live after the load, want one per key (%d)", bs.Allocs-bs.Frees, len(want))
 	}
 }

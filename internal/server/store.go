@@ -95,7 +95,13 @@ type Store struct {
 	// reaping bounds opportunistic expired-item removal to one goroutine
 	// per shard at a time; readers that lose the flag skip, never wait.
 	// Padded: the flags are written on the read path of distinct shards.
-	reaping []reapFlag
+	reaping []shardFlag
+	// dirty[sh] is set by every committed mutation of shard sh (settle) and
+	// by FlushAll, and cleared by the snapshot walk of sh just before it
+	// starts: a clean shard holds what the last snapshot wrote of it.
+	// Padded, and written only when it changes, so a steady stream of
+	// writes reads the line and never bounces it between cores.
+	dirty []shardFlag
 	// reapHook, when non-nil, runs on the reap path after the reaper flag
 	// is taken — the test seam for the panic-survival regression test (the
 	// real panic sources, like the facade's slot-table exhaustion panic inside
@@ -111,8 +117,8 @@ type Store struct {
 	flushCAS atomic.Uint64
 }
 
-// reapFlag is a cache-line-isolated per-shard reaper bound.
-type reapFlag struct {
+// shardFlag is a cache-line-isolated per-shard flag.
+type shardFlag struct {
 	flag atomic.Bool
 	_    [pad.CacheLineSize - 1]byte
 }
@@ -146,7 +152,8 @@ func NewStore(algo string, capacity int, poolValues bool, shards int, ordered bo
 		sm:      sm,
 		now:     func() int64 { return time.Now().Unix() },
 		algo:    algo,
-		reaping: make([]reapFlag, shards),
+		reaping: make([]shardFlag, shards),
+		dirty:   make([]shardFlag, shards),
 	}
 	if poolValues {
 		s.bufs = make([]*ssmem.BufPool, shards)
@@ -291,12 +298,20 @@ func (t *txn) to(old Item, present bool, next Item, keep bool) (Item, bool) {
 // per stored item, so the token names the item, and with it its block.
 func (t *txn) stored(it Item) bool { return t.keep && t.cas == it.CAS }
 
-// settle is the one place a write frees value blocks. It retires the old
-// item's block unless the old item is what the write committed, and frees
-// fresh's block — built for the write, published only if committed — unless
-// the committed item is fresh. Writes that build no item pass Item{}; a nil
+// changed reports whether the write changed its key: it stored a new item
+// or removed the old one.
+func (t *txn) changed() bool { return t.keep != t.present || (t.keep && t.cas != t.old.CAS) }
+
+// settle is the one place a write frees value blocks, and the one place a
+// committed change marks its shard dirty. It retires the old item's block
+// unless the old item is what the write committed, and frees fresh's block
+// — built for the write, published only if committed — unless the
+// committed item is fresh. Writes that build no item pass Item{}; a nil
 // block is never freed.
 func (p Pin) settle(sh int, t *txn, fresh Item) {
+	if t.changed() {
+		p.s.markDirty(sh)
+	}
 	if p.s.bufs == nil {
 		return // without pooling the Go GC owns every block
 	}
@@ -307,6 +322,39 @@ func (p Pin) settle(sh int, t *txn, fresh Item) {
 	if !t.stored(fresh) {
 		a.Free(fresh.Data)
 	}
+}
+
+// markDirty flags shard sh as changed since its last snapshot walk. The
+// load comes first, so only the first write after a walk stores.
+func (s *Store) markDirty(sh int) {
+	if f := &s.dirty[sh].flag; !f.Load() {
+		f.Store(true)
+	}
+}
+
+// markAllDirty flags every shard as changed since its last snapshot walk.
+func (s *Store) markAllDirty() {
+	for sh := range s.dirty {
+		s.markDirty(sh)
+	}
+}
+
+// markClean flags every shard as unchanged: the caller knows the store
+// holds exactly what the file it last read or wrote holds.
+func (s *Store) markClean() {
+	for sh := range s.dirty {
+		s.dirty[sh].flag.Store(false)
+	}
+}
+
+// clean reports whether no shard has changed since its last snapshot walk.
+func (s *Store) clean() bool {
+	for sh := range s.dirty {
+		if s.dirty[sh].flag.Load() {
+			return false
+		}
+	}
+	return true
 }
 
 // absExpiry converts a protocol exptime to an absolute unix time: 0 never
@@ -604,6 +652,10 @@ func (s *Store) FlushAll(p Pin, delay int64) {
 	}
 	s.flushCAS.Store(s.cas.Load())
 	s.flushAt.Store(now + delay)
+	// After the epoch is published: a snapshot walk that reads the old
+	// epoch and clears its flag is followed by this store, and one that
+	// reads a future epoch leaves its flag set.
+	s.markAllDirty()
 	if delay > 0 {
 		return
 	}

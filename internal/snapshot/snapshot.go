@@ -72,7 +72,9 @@ const (
 	// Sanity caps applied while reading, so a corrupt length field costs
 	// an error, not an absurd allocation. Keys on the wire are ≤250
 	// bytes and values ≤ the server's item cap (default 1 MiB,
-	// configurable); these caps sit far above both.
+	// configurable); these caps sit far above both, and Writer.Add
+	// refuses a record over them rather than write a file no Reader
+	// accepts.
 	maxKeyLen   = 1 << 16
 	maxDataLen  = 1 << 30
 	maxBlockLen = 1 << 26
@@ -156,7 +158,17 @@ func (w *Writer) write(p []byte) error {
 	return w.err
 }
 
-// Add appends one record.
+// recordFraming is the bytes a record adds around its key and data: key
+// length, flags, expiry and data length.
+const recordFraming = 4 + 4 + 8 + 4
+
+// errRecordTooLarge is Add's answer to a record no Reader would accept:
+// its key is over maxKeyLen, or it alone does not fit in one block.
+var errRecordTooLarge = errors.New("snapshot: record too large for the format")
+
+// Add appends one record. A record that would push the current block past
+// the Reader's block cap starts a new block; one too large for any block
+// is an error, so a Writer never produces a file its Reader rejects.
 func (w *Writer) Add(key []byte, flags uint32, expireAt int64, data []byte) error {
 	if w.err != nil {
 		return w.err
@@ -164,6 +176,17 @@ func (w *Writer) Add(key []byte, flags uint32, expireAt int64, data []byte) erro
 	if w.done {
 		w.err = errors.New("snapshot: Add after Close")
 		return w.err
+	}
+	size := recordFraming + len(key) + len(data)
+	if len(key) > maxKeyLen || size > maxBlockLen {
+		w.err = fmt.Errorf("%w: key %d bytes, data %d bytes (a record holds at most a %d-byte key and fits a %d-byte block)",
+			errRecordTooLarge, len(key), len(data), maxKeyLen, maxBlockLen)
+		return w.err
+	}
+	if len(w.block)+size > maxBlockLen {
+		if err := w.flushBlock(); err != nil {
+			return err
+		}
 	}
 	w.block = binary.LittleEndian.AppendUint32(w.block, uint32(len(key)))
 	w.block = append(w.block, key...)
@@ -227,19 +250,46 @@ func (w *Writer) Close() error {
 	return w.err
 }
 
-// Reader validates and iterates a snapshot stream. Every integrity check
-// the format affords runs as the stream is consumed; Next never returns a
-// record from a block whose CRC has not already been verified.
+// Reader validates and iterates a snapshot stream, record by record (Next)
+// or block by block (NextBlock); a Reader serves one of the two, not both.
+// Every integrity check the format affords runs as the stream is consumed:
+// no record is returned from a block whose CRC and framing have not
+// already been verified.
 type Reader struct {
 	r      *bufio.Reader
 	crc    hash.Hash32
 	hdr    Header
-	block  []byte // current verified block payload
-	off    int    // read offset into block
-	items  uint64 // records returned so far
-	err    error
-	atEOF  bool
+	items  uint64 // records in the blocks read so far
+	err    error  // sticky; io.EOF once the trailer has verified
+	cur    Block  // Next's current block
+	off    int    // Next's read offset into cur
 	record Record
+}
+
+// Block is one verified block of records, as NextBlock returns it. Its
+// records alias its buffer.
+type Block struct {
+	buf []byte
+	n   int
+}
+
+// Len reports how many records the block holds.
+func (b Block) Len() int { return b.n }
+
+// Buffer returns the block's buffer, to hand to a later NextBlock once
+// nothing reads the block's records any more.
+func (b Block) Buffer() []byte { return b.buf }
+
+// Records calls fn on each of the block's records in stream order, with i
+// its index in the block. The Record is valid only during the call.
+func (b Block) Records(fn func(i int, rec *Record)) {
+	var rec Record
+	off := 0
+	for i := 0; i < b.n; i++ {
+		size, _ := parseRecord(b.buf[off:], &rec) // framing verified by NextBlock
+		fn(i, &rec)
+		off += size
+	}
 }
 
 // NewReader parses and verifies the header.
@@ -300,97 +350,115 @@ func (r *Reader) read(p []byte) error {
 // Header returns the parsed header.
 func (r *Reader) Header() Header { return r.hdr }
 
-// Items reports how many records Next has returned.
+// Items reports how many records the blocks read so far hold: after the
+// final io.EOF, the file's verified record count.
 func (r *Reader) Items() uint64 { return r.items }
 
 // Next returns the next record, io.EOF after the final record once the
 // terminator, item count, and whole-file CRC have all verified, or an
 // ErrCorrupt-wrapped error. Record contents are valid until the next call.
 func (r *Reader) Next() (*Record, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	for r.off >= len(r.block) {
-		if err := r.nextBlock(); err != nil {
-			r.err = err
+	for r.off >= len(r.cur.buf) {
+		blk, err := r.NextBlock(r.cur.buf)
+		if err != nil {
 			return nil, err
 		}
-		if r.atEOF {
-			r.err = io.EOF
-			return nil, io.EOF
-		}
+		r.cur, r.off = blk, 0
 	}
-	b := r.block[r.off:]
-	// keyLen key flags expireAt dataLen data
-	if len(b) < 4 {
-		r.err = corruptf("truncated record header")
-		return nil, r.err
-	}
-	keyLen := binary.LittleEndian.Uint32(b[0:4])
-	if keyLen > maxKeyLen {
-		r.err = corruptf("implausible key length %d", keyLen)
-		return nil, r.err
-	}
-	need := 4 + int(keyLen) + 4 + 8 + 4
-	if len(b) < need {
-		r.err = corruptf("record overruns block")
-		return nil, r.err
-	}
-	key := b[4 : 4+keyLen]
-	p := b[4+keyLen:]
-	flags := binary.LittleEndian.Uint32(p[0:4])
-	expireAt := int64(binary.LittleEndian.Uint64(p[4:12]))
-	dataLen := binary.LittleEndian.Uint32(p[12:16])
-	if dataLen > maxDataLen {
-		r.err = corruptf("implausible data length %d", dataLen)
-		return nil, r.err
-	}
-	if len(p) < 16+int(dataLen) {
-		r.err = corruptf("record data overruns block")
-		return nil, r.err
-	}
-	r.record = Record{
-		Key:      key,
-		Data:     p[16 : 16+dataLen],
-		Flags:    flags,
-		ExpireAt: expireAt,
-	}
-	r.off += need + int(dataLen)
-	r.items++
+	size, _ := parseRecord(r.cur.buf[r.off:], &r.record) // framing verified by NextBlock
+	r.off += size
 	return &r.record, nil
 }
 
-// nextBlock reads and CRC-verifies the next block, or — on the zero-length
-// terminator — verifies the trailer and sets atEOF.
-func (r *Reader) nextBlock() error {
-	var lenBuf [4]byte
-	if err := r.read(lenBuf[:]); err != nil {
-		return corruptf("truncated block stream: %v", err)
+// NextBlock reads the next block into buf (grown when too small; nil
+// allocates), verifies its CRC and the framing of every record in it, and
+// returns it. After the last block it verifies the terminator, the item
+// count and the whole-file CRC and returns io.EOF. Errors are sticky, and
+// every one but io.EOF wraps ErrCorrupt. The returned block aliases buf, so
+// a caller that recycles buffers hands one back only after it is done with
+// the block's records.
+func (r *Reader) NextBlock(buf []byte) (Block, error) {
+	if r.err != nil {
+		return Block{}, r.err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	blk, err := r.nextBlock(buf)
+	if err != nil {
+		r.err = err
+	}
+	return blk, err
+}
+
+func (r *Reader) nextBlock(buf []byte) (Block, error) {
+	var pfx [8]byte // blockLen, blockCRC
+	if err := r.read(pfx[:4]); err != nil {
+		return Block{}, corruptf("truncated block stream: %v", err)
+	}
+	n := binary.LittleEndian.Uint32(pfx[:4])
 	if n == 0 {
-		return r.readTrailer()
+		if err := r.readTrailer(); err != nil {
+			return Block{}, err
+		}
+		return Block{}, io.EOF
 	}
 	if n > maxBlockLen {
-		return corruptf("implausible block length %d", n)
+		return Block{}, corruptf("implausible block length %d", n)
 	}
-	var crcBuf [4]byte
-	if err := r.read(crcBuf[:]); err != nil {
-		return corruptf("truncated block crc: %v", err)
+	if err := r.read(pfx[4:]); err != nil {
+		return Block{}, corruptf("truncated block crc: %v", err)
 	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
-	if cap(r.block) < int(n) {
-		r.block = make([]byte, n)
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
 	}
-	r.block = r.block[:n]
-	if err := r.read(r.block); err != nil {
-		return corruptf("truncated block payload: %v", err)
+	buf = buf[:n]
+	if err := r.read(buf); err != nil {
+		return Block{}, corruptf("truncated block payload: %v", err)
 	}
-	if crc32.ChecksumIEEE(r.block) != want {
-		return corruptf("block crc mismatch")
+	if crc32.ChecksumIEEE(buf) != binary.LittleEndian.Uint32(pfx[4:]) {
+		return Block{}, corruptf("block crc mismatch")
 	}
-	r.off = 0
-	return nil
+	blk := Block{buf: buf}
+	var rec Record
+	for off := 0; off < len(buf); blk.n++ {
+		size, err := parseRecord(buf[off:], &rec)
+		if err != nil {
+			return Block{}, err
+		}
+		off += size
+	}
+	r.items += uint64(blk.n)
+	return blk, nil
+}
+
+// parseRecord decodes the record at the front of b into rec and returns
+// its encoded size.
+func parseRecord(b []byte, rec *Record) (int, error) {
+	// keyLen key flags expireAt dataLen data
+	if len(b) < 4 {
+		return 0, corruptf("truncated record header")
+	}
+	keyLen := binary.LittleEndian.Uint32(b[0:4])
+	if keyLen > maxKeyLen {
+		return 0, corruptf("implausible key length %d", keyLen)
+	}
+	need := recordFraming + int(keyLen)
+	if len(b) < need {
+		return 0, corruptf("record overruns block")
+	}
+	p := b[4+keyLen:]
+	dataLen := binary.LittleEndian.Uint32(p[12:16])
+	if dataLen > maxDataLen {
+		return 0, corruptf("implausible data length %d", dataLen)
+	}
+	if len(p) < 16+int(dataLen) {
+		return 0, corruptf("record data overruns block")
+	}
+	*rec = Record{
+		Key:      b[4 : 4+keyLen],
+		Data:     p[16 : 16+dataLen],
+		Flags:    binary.LittleEndian.Uint32(p[0:4]),
+		ExpireAt: int64(binary.LittleEndian.Uint64(p[4:12])),
+	}
+	return need + int(dataLen), nil
 }
 
 func (r *Reader) readTrailer() error {
@@ -412,15 +480,15 @@ func (r *Reader) readTrailer() error {
 	// Trailing garbage after the trailer is tolerated deliberately: the
 	// validated region is self-delimiting, and rejecting appended junk
 	// would make the format fragile to block-granular storage.
-	r.atEOF = true
 	return nil
 }
 
 // VerifyFile streams through the whole file running every integrity check
-// and returns the header and record count. It allocates only the Reader's
-// block buffer, so verifying before loading (the server's empty-or-previous
-// guarantee: a file that fails any check loads nothing, rather than loading
-// a prefix and erroring mid-way) costs one extra sequential read.
+// and returns the header and record count, decoding nothing into memory
+// beyond one block buffer. It is a check for tests and tools: a loader
+// that wants all-or-nothing reads the file once and discards what it built
+// on any error, as the server's boot does, rather than paying a second
+// sequential read up front.
 func VerifyFile(path string) (Header, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -431,13 +499,16 @@ func VerifyFile(path string) (Header, uint64, error) {
 	if err != nil {
 		return Header{}, 0, err
 	}
+	var buf []byte
 	for {
-		if _, err := r.Next(); err != nil {
-			if err == io.EOF {
-				return r.Header(), r.Items(), nil
-			}
+		blk, err := r.NextBlock(buf)
+		if err == io.EOF {
+			return r.Header(), r.Items(), nil
+		}
+		if err != nil {
 			return r.Header(), 0, err
 		}
+		buf = blk.Buffer()
 	}
 }
 

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -370,5 +371,130 @@ func TestWriteFileErrorLeavesOldIntact(t *testing.T) {
 	got, _, err := readAll(t, path)
 	if err != nil || len(got) != 1 || got[0].key != "k2" {
 		t.Fatalf("rewrite over stray temp failed: %v %v", got, err)
+	}
+}
+
+// TestWriterRefusesRecordOverBlockCap: a record one byte too large for any
+// block is refused by Add, so the Writer never produces a file the Reader
+// would reject as an implausible block length.
+func TestWriterRefusesRecordOverBlockCap(t *testing.T) {
+	key := []byte("k")
+	data := make([]byte, maxBlockLen-recordFraming-len(key)+1)
+	w, err := NewWriter(io.Discard, Header{Algo: "ht-clht-lb", Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add(key, 0, 0, data); !errors.Is(err, errRecordTooLarge) {
+		t.Fatalf("Add of a %d-byte record = %v, want errRecordTooLarge", recordFraming+len(key)+len(data), err)
+	}
+	if err := w.Close(); !errors.Is(err, errRecordTooLarge) {
+		t.Fatalf("Close after a refused record = %v, want the sticky error", err)
+	}
+	w, _ = NewWriter(io.Discard, Header{})
+	if err := w.Add(make([]byte, maxKeyLen+1), 0, 0, nil); !errors.Is(err, errRecordTooLarge) {
+		t.Fatalf("Add with a %d-byte key = %v, want errRecordTooLarge", maxKeyLen+1, err)
+	}
+}
+
+// headWriter keeps the first len(head) bytes written to it and counts the
+// rest, so a test can inspect a stream's framing without holding it.
+type headWriter struct {
+	head []byte
+	n    int
+}
+
+func (h *headWriter) Write(p []byte) (int, error) {
+	if h.n < len(h.head) {
+		copy(h.head[h.n:], p)
+	}
+	h.n += len(p)
+	return len(p), nil
+}
+
+// TestWriterFlushesBeforeOverfullBlock: a record that fits a block alone
+// but not behind the current block's records starts a new block, so no
+// block exceeds the Reader's cap.
+func TestWriterFlushesBeforeOverfullBlock(t *testing.T) {
+	out := &headWriter{head: make([]byte, 1<<10)}
+	w, err := NewWriter(out, Header{Algo: "x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Add([]byte("small"), 0, 0, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("big")
+	if err := w.Add(key, 0, 0, make([]byte, maxBlockLen-recordFraming-len(key))); err != nil {
+		t.Fatalf("Add of a record exactly one block long: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := out.head
+	off := headerSize(b)
+	first := int(binary.LittleEndian.Uint32(b[off:]))
+	if want := recordFraming + len("small") + len("v"); first != want {
+		t.Fatalf("first block is %d bytes, want the small record alone (%d)", first, want)
+	}
+	off += 8 + first
+	if second := binary.LittleEndian.Uint32(b[off:]); second != maxBlockLen {
+		t.Fatalf("second block is %d bytes, want %d", second, maxBlockLen)
+	}
+}
+
+// TestNextBlockMatchesNext: reading a multi-block stream block by block,
+// recycling one buffer, yields the records Next yields, in order, and the
+// block lengths sum to the trailer's count.
+func TestNextBlockMatchesNext(t *testing.T) {
+	var recs []rec
+	for i := 0; i < 5000; i++ {
+		recs = append(recs, rec{key: fmt.Sprintf("key-%05d", i), data: fmt.Sprintf("%0100d", i), flags: uint32(i), expireAt: int64(i)})
+	}
+	path := filepath.Join(t.TempDir(), "snap.db")
+	writeTestFile(t, path, Header{Algo: "ht-clht-lb", Shards: 1}, recs)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		got    []rec
+		buf    []byte
+		blocks int
+	)
+	for {
+		blk, err := r.NextBlock(buf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks++
+		first := len(got)
+		blk.Records(func(i int, rr *Record) {
+			if i != len(got)-first {
+				t.Fatalf("record index %d, want %d", i, len(got)-first)
+			}
+			got = append(got, rec{key: string(rr.Key), data: string(rr.Data), flags: rr.Flags, expireAt: rr.ExpireAt})
+		})
+		buf = blk.Buffer()
+	}
+	if blocks < 2 {
+		t.Fatalf("stream has %d blocks, want several", blocks)
+	}
+	if r.Items() != uint64(len(recs)) || len(got) != len(recs) {
+		t.Fatalf("Items() = %d, decoded %d, want %d", r.Items(), len(got), len(recs))
+	}
+	for i := range recs {
+		if got[i] != recs[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], recs[i])
+		}
+	}
+	if _, err := r.NextBlock(buf); err != io.EOF {
+		t.Fatalf("NextBlock after the end = %v, want io.EOF", err)
 	}
 }
