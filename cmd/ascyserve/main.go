@@ -37,7 +37,7 @@ func main() {
 		capacity = flag.Int("capacity", 1<<16, "structure capacity (hash-table buckets, total across shards)")
 		shards   = flag.Int("shards", 1, "partition the keyspace across this many independent structure instances")
 		ordered  = flag.Bool("ordered", false, "order-preserving keyspace: serve mrange/mmin/mmax (lexicographic scans); shards become contiguous key ranges (best with a sorted structure, e.g. -algo sl-fraser-opt)")
-		maxItem  = flag.Int("maxitem", server.DefaultMaxItemSize, "maximum value size in bytes")
+		maxItem  = flag.Int("maxitem", server.DefaultMaxItemSize, "maximum value size in bytes (with -snapshot, at most what one snapshot record holds: just under 64 MiB)")
 		maxBatch = flag.Int("maxbatch", server.DefaultMaxBatch, "max pipelined requests executed per store pin (1 disables batching)")
 		idle     = flag.Duration("idletimeout", 0, "reclaim connections silent for this long (0 = server default of 5m, negative disables)")
 		maxconns = flag.Int("maxconns", 0, "cap concurrently open connections; extra dialers get SERVER_ERROR busy and are closed (0 = unlimited)")

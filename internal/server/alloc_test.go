@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -668,5 +669,47 @@ func TestStoreOverwriteAllocGate(t *testing.T) {
 				t.Fatalf("Store.Get hit allocates %.2f/op (hit %v), want 0", avg, hit)
 			}
 		})
+	}
+}
+
+// TestStoreValueBlocksOffHeap: pooled value blocks are carved from chunks
+// mapped outside the Go heap, so storing 64 MiB of values grows the live
+// heap by the keys and items alone, while the same load without pooling
+// grows it by at least the values.
+func TestStoreValueBlocksOffHeap(t *testing.T) {
+	const n, size = 65536, 1024
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", i))
+	}
+	val := bytes.Repeat([]byte("v"), size)
+	growth := func(pool bool) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		st, err := NewStore("ht-clht-lb", 0, pool, 4, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := st.Pin()
+		for _, k := range keys {
+			st.Set(p, k, 0, 0, val)
+		}
+		p.Unpin()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if got := st.Items(); got != n {
+			t.Fatalf("pool=%v: %d items stored, want %d", pool, got, n)
+		}
+		st.release()
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	}
+	pooled, unpooled := growth(true), growth(false)
+	t.Logf("live heap growth for %d MiB of values: pooled %d MiB, unpooled %d MiB", n*size>>20, pooled>>20, unpooled>>20)
+	if pooled >= 32<<20 {
+		t.Fatalf("pooled: live heap grew %d MiB, want < 32 MiB", pooled>>20)
+	}
+	if unpooled < 64<<20 {
+		t.Fatalf("unpooled: live heap grew %d MiB, want >= 64 MiB", unpooled>>20)
 	}
 }

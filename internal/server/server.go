@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/snapshot"
 )
 
 // Version is the server's protocol banner.
@@ -55,6 +56,9 @@ type Config struct {
 	// injection; production configs leave it empty.
 	ChaosPanicKey string
 	// MaxItemSize bounds value blocks; <= 0 means DefaultMaxItemSize.
+	// With SnapshotPath set, New refuses a bound above the largest value
+	// one snapshot record can hold (snapshot.MaxValueLen for a MaxKeyLen
+	// key, just under 64 MiB): a larger value would fail every snapshot.
 	MaxItemSize int
 	// MaxBatch bounds how many pipelined requests one batch executes under
 	// a single store pin (see ReadBatchInto): a client that has queued n
@@ -211,6 +215,9 @@ func New(cfg Config) (*Server, error) {
 	} else if !a.Safe {
 		return nil, fmt.Errorf("server: algorithm %q is an unsynchronized async baseline; refusing to serve it", cfg.Algo)
 	}
+	if cfg.SnapshotPath != "" && cfg.MaxItemSize > snapshot.MaxValueLen(MaxKeyLen) {
+		return nil, fmt.Errorf("server: MaxItemSize %d is over %d bytes, the largest value a snapshot record can hold", cfg.MaxItemSize, snapshot.MaxValueLen(MaxKeyLen))
+	}
 	newStore := func() (*Store, error) {
 		return NewStore(cfg.Algo, cfg.Capacity, true, cfg.Shards, cfg.Ordered)
 	}
@@ -224,16 +231,31 @@ func New(cfg Config) (*Server, error) {
 		conns:    map[net.Conn]struct{}{},
 		snapStop: make(chan struct{}),
 	}
-	// Warm restart. Never fatal: a missing file is a cold boot, a damaged
-	// one logs loudly and boots empty (the file itself is left in place
-	// for the operator). Nothing is served before New returns, so the
-	// half-loaded store of a failed load is simply dropped.
-	if cfg.SnapshotPath != "" && !srv.loadSnapshot() {
-		if srv.store, err = newStore(); err != nil {
+	if cfg.SnapshotPath != "" {
+		if err := srv.warmBoot(newStore); err != nil {
 			return nil, err
 		}
 	}
 	return srv, nil
+}
+
+// warmBoot loads SnapshotPath into the store. Never fatal: a missing file
+// is a cold boot, a damaged one logs loudly and boots empty (the file
+// itself is left in place for the operator). Nothing is served before New
+// returns, so the half-loaded store of a failed load is dropped for one
+// from newStore, and its value blocks, which the GC does not own, are
+// unmapped first.
+func (s *Server) warmBoot(newStore func() (*Store, error)) error {
+	if s.loadSnapshot() {
+		return nil
+	}
+	s.store.release()
+	st, err := newStore()
+	if err != nil {
+		return err
+	}
+	s.store = st
+	return nil
 }
 
 // Store returns the backing store (for in-process inspection and tests).
@@ -856,6 +878,7 @@ func (s *Server) Stats() [][2]string {
 	pairs = append(pairs,
 		[2]string{"value_pool_allocs", u(bs.Allocs)},
 		[2]string{"value_pool_reused", u(bs.Reused)},
+		[2]string{"value_pool_mapped_bytes", u(bs.Mapped)},
 	)
 	// Persistence counters (zero without Config.SnapshotPath):
 	// snapshot_last_unix/_items/_bytes describe the last successful

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -993,5 +994,134 @@ func TestStoreLoadParallelMatchesSerialReplay(t *testing.T) {
 	}
 	if bs := st.BufStats(); bs.Allocs-bs.Frees != uint64(len(want)) {
 		t.Fatalf("%d value blocks live after the load, want one per key (%d)", bs.Allocs-bs.Frees, len(want))
+	}
+}
+
+// damagedSnapshot writes a snapshot of n 1 KiB items, cut from a 2-shard
+// ht-clht-lb store, into dir and returns the path of a copy truncated three
+// quarters of the way in: whole blocks of valid records precede the damage.
+func damagedSnapshot(t *testing.T, dir string, n int) string {
+	t.Helper()
+	st, err := NewStore("ht-clht-lb", 0, true, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte("v"), 1024)
+	p := st.Pin()
+	for i := 0; i < n; i++ {
+		st.Set(p, []byte(fmt.Sprintf("key-%05d", i)), 0, 0, val)
+	}
+	p.Unpin()
+	var buf bytes.Buffer
+	if _, err := st.SnapshotTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st.release()
+	path := filepath.Join(dir, "damaged.db")
+	if err := os.WriteFile(path, buf.Bytes()[:buf.Len()*3/4], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// mappedBytes reads the value_pool_mapped_bytes stat.
+func mappedBytes(t *testing.T, s *Server) uint64 {
+	t.Helper()
+	v, err := strconv.ParseUint(s.StatsMap()["value_pool_mapped_bytes"], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestServerValuePoolMappedBytes: the Go heap metrics no longer count
+// value blocks, so stats does. It covers at least the values stored, and a
+// server whose damaged snapshot was rejected at boot maps nothing until it
+// stores a value.
+func TestServerValuePoolMappedBytes(t *testing.T) {
+	t.Run("sets", func(t *testing.T) {
+		s := startServer(t, "ht-clht-lb")
+		c := dialT(t, s)
+		const n = 3000
+		val := bytes.Repeat([]byte("v"), 1024)
+		for i := 0; i < n; i++ {
+			if err := c.Set(fmt.Sprintf("key-%05d", i), 0, 0, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := mappedBytes(t, s); got < n*1024 {
+			t.Fatalf("value_pool_mapped_bytes = %d after %d sets of 1 KiB, want >= %d", got, n, n*1024)
+		}
+	})
+	t.Run("damaged-boot", func(t *testing.T) {
+		path := damagedSnapshot(t, t.TempDir(), 2000)
+		s := startSnapServer(t, Config{Algo: "ht-clht-lb", Shards: 2, SnapshotPath: path})
+		if errs := s.StatsMap()["snapshot_errors"]; errs != "1" {
+			t.Fatalf("snapshot_errors = %s, want 1: the damaged file was not rejected", errs)
+		}
+		if got := mappedBytes(t, s); got != 0 {
+			t.Fatalf("value_pool_mapped_bytes = %d after a rejected boot, want 0", got)
+		}
+		c := dialT(t, s)
+		if err := c.Set("k", 0, 0, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if got := mappedBytes(t, s); got == 0 {
+			t.Fatal("value_pool_mapped_bytes = 0 after a set")
+		}
+	})
+}
+
+// TestServerRejectedBootUnmapsHalfLoadedStore: the store a damaged snapshot
+// half-loaded is replaced, and its value blocks, which the GC would never
+// reclaim, are unmapped.
+func TestServerRejectedBootUnmapsHalfLoadedStore(t *testing.T) {
+	path := damagedSnapshot(t, t.TempDir(), 2000)
+	s, err := New(Config{Algo: "ht-clht-lb", Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	half := s.store
+	s.cfg.SnapshotPath = path
+	if err := s.warmBoot(func() (*Store, error) { return NewStore("ht-clht-lb", 0, true, 2, false) }); err != nil {
+		t.Fatal(err)
+	}
+	if s.store == half {
+		t.Fatal("the half-loaded store was kept")
+	}
+	if half.Items() == 0 {
+		t.Fatal("no record loaded before the damage; the file does not exercise the release")
+	}
+	if m := half.BufStats().Mapped; m != 0 {
+		t.Fatalf("half-loaded store still maps %d bytes", m)
+	}
+}
+
+// TestNewBoundsMaxItemSizeBySnapshotRecord: with persistence on, an item
+// cap above what one snapshot record holds would let a single value make
+// every later snapshot fail, so New refuses it; without persistence any
+// cap goes.
+func TestNewBoundsMaxItemSizeBySnapshotRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.db")
+	limit := snapshot.MaxValueLen(MaxKeyLen)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"at-cap", Config{SnapshotPath: path, MaxItemSize: limit}, true},
+		{"over-cap", Config{SnapshotPath: path, MaxItemSize: limit + 1}, false},
+		{"80MiB-no-snapshot", Config{MaxItemSize: 80 << 20}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(tc.cfg)
+			if (err == nil) != tc.ok {
+				t.Fatalf("New(MaxItemSize %d, SnapshotPath %q) = %v, want ok=%v", tc.cfg.MaxItemSize, tc.cfg.SnapshotPath, err, tc.ok)
+			}
+			if s != nil {
+				s.Close()
+			}
+		})
 	}
 }

@@ -248,7 +248,7 @@ func TestStatsNamesPinned(t *testing.T) {
 		"batch_depth_1", "batch_depth_2_3", "batch_depth_4_7", "batch_depth_8_15",
 		"batch_depth_16_31", "batch_depth_32_63", "batch_depth_64_127",
 		"batch_depth_128_255", "batch_depth_256_plus",
-		"value_pool_allocs", "value_pool_reused",
+		"value_pool_allocs", "value_pool_reused", "value_pool_mapped_bytes",
 		"snapshots_taken", "snapshot_last_unix", "snapshot_items", "snapshot_bytes",
 		"snapshot_errors", "loaded_items", "load_expired_skipped", "snapshot_load_ms",
 	}

@@ -16,9 +16,11 @@ type Item struct {
 	// Flags is the client-opaque word stored with the value.
 	Flags uint32
 	// Data is the value block. With value pooling (which the server uses)
-	// the block lives in an SSMEM buffer pool and is recycled once no
+	// the block is carved from its shard's SSMEM buffer pool, in memory
+	// mapped outside the Go heap, and recycled for another value once no
 	// pinned reader can still hold it; read it only under the Pin that
-	// produced it, or via a copy.
+	// produced it, or via a copy. A read after Unpin may see another
+	// item's bytes, but the memory stays mapped while the store serves.
 	Data []byte
 	// CAS is the item's unique compare-and-swap token, bumped on every
 	// successful store.
@@ -73,11 +75,15 @@ const (
 // into the touched shard's SSMEM buffer pool on store and freed back to it
 // when a mutation retires them; a freed block is reused only after every
 // reader pinned into that shard has unpinned, so a get can hand its Data to
-// the response writer without copying. Callers bracket work with Pin/Unpin
-// — one pin per request in the server's loop. Which block a write frees is
-// decided once, by Pin.settle, from the transition the write's update
-// function recorded in a txn, and by CAS token: each stored item carries a
-// unique token, so the token says which block the committed item holds.
+// the response writer without copying. The pools carve their blocks from
+// chunks mapped outside the Go heap, which the GC neither scans nor counts
+// towards its heap goal, and never unmap them while the store can be
+// served: only release, on a store never served, gives them back. Callers
+// bracket work with Pin/Unpin — one pin per request in the server's loop.
+// Which block a write frees is decided once, by Pin.settle, from the
+// transition the write's update function recorded in a txn, and by CAS
+// token: each stored item carries a unique token, so the token says which
+// block the committed item holds.
 //
 // Expiry is lazy, as in memcached: expired items are invisible to reads
 // and treated as absent by mutations, and are physically removed when a
@@ -184,6 +190,15 @@ func (s *Store) BufStats() ssmem.Stats {
 		agg.Add(p.Stats())
 	}
 	return agg
+}
+
+// release unmaps the memory of every value block the store holds. Only a
+// store that was never served may be released: afterwards every Item.Data
+// it holds points at unmapped memory.
+func (s *Store) release() {
+	for _, p := range s.bufs {
+		p.Release()
+	}
 }
 
 // pinFrame carries one Pin's per-shard allocator leases; frames are pooled

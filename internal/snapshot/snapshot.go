@@ -162,6 +162,10 @@ func (w *Writer) write(p []byte) error {
 // length, flags, expiry and data length.
 const recordFraming = 4 + 4 + 8 + 4
 
+// MaxValueLen is the largest value a record with a keyLen-byte key can
+// hold: the record alone must fit one block. Add refuses anything larger.
+func MaxValueLen(keyLen int) int { return maxBlockLen - recordFraming - keyLen }
+
 // errRecordTooLarge is Add's answer to a record no Reader would accept:
 // its key is over maxKeyLen, or it alone does not fit in one block.
 var errRecordTooLarge = errors.New("snapshot: record too large for the format")
@@ -177,13 +181,12 @@ func (w *Writer) Add(key []byte, flags uint32, expireAt int64, data []byte) erro
 		w.err = errors.New("snapshot: Add after Close")
 		return w.err
 	}
-	size := recordFraming + len(key) + len(data)
-	if len(key) > maxKeyLen || size > maxBlockLen {
+	if len(key) > maxKeyLen || len(data) > MaxValueLen(len(key)) {
 		w.err = fmt.Errorf("%w: key %d bytes, data %d bytes (a record holds at most a %d-byte key and fits a %d-byte block)",
 			errRecordTooLarge, len(key), len(data), maxKeyLen, maxBlockLen)
 		return w.err
 	}
-	if len(w.block)+size > maxBlockLen {
+	if size := recordFraming + len(key) + len(data); len(w.block)+size > maxBlockLen {
 		if err := w.flushBlock(); err != nil {
 			return err
 		}

@@ -208,3 +208,91 @@ func TestBufPoolAggregate(t *testing.T) {
 		t.Fatalf("aggregate = %+v", s)
 	}
 }
+
+// TestBufAllocatorCarvesDisjointBlocks: fresh blocks of one class come from
+// one chunk, back to back, each capped at its class size, so an append to
+// one can never write into its neighbour.
+func TestBufAllocatorCarvesDisjointBlocks(t *testing.T) {
+	a := NewBufAllocator(NewCollector(), 1)
+	a.OpStart()
+	defer a.OpEnd()
+	const n = 1 + chunkSize/1024 // one more than a chunk holds: maps a second
+	seen := make(map[*byte]bool, n)
+	for i := 0; i < n; i++ {
+		b := a.Alloc(1000)
+		if len(b) != 1000 || cap(b) != 1024 {
+			t.Fatalf("block %d: len/cap = %d/%d, want 1000/1024", i, len(b), cap(b))
+		}
+		for _, c := range b {
+			if c != 0 {
+				t.Fatalf("block %d is not zeroed", i)
+			}
+		}
+		b = append(b, make([]byte, 24)...) // fills the block's capacity exactly
+		for j := range b {
+			b[j] = byte(i)
+		}
+		if seen[&b[0]] {
+			t.Fatalf("block %d handed out twice", i)
+		}
+		seen[&b[0]] = true
+	}
+	if got := a.arena.mapped(); got != 2*chunkSize {
+		t.Fatalf("mapped %d bytes, want two chunks (%d)", got, 2*chunkSize)
+	}
+}
+
+// TestBufPoolReleaseUnmaps: a pool reports the chunk memory its blocks were
+// carved from, and Release gives all of it back.
+func TestBufPoolReleaseUnmaps(t *testing.T) {
+	p := NewBufPool(4)
+	a := p.Get()
+	a.OpStart()
+	for _, n := range []int{10, 100, 1000, 10000, 1 << maxBufShift} {
+		b := a.Alloc(n)
+		b[len(b)-1] = 1
+	}
+	a.OpEnd()
+	p.Put(a)
+	if m := p.Stats().Mapped; m == 0 {
+		t.Fatal("Mapped = 0 after carving blocks")
+	}
+	p.Release()
+	if m := p.Stats().Mapped; m != 0 {
+		t.Fatalf("Mapped = %d after Release, want 0", m)
+	}
+}
+
+// TestBufPoolSteadyStateRecyclingZeroAlloc: once warm, a lease, an epoch
+// bracket and an allocation recycled from the free list cost (almost) no
+// Go heap. The one allocation left is the collector's timestamp snapshot
+// of each released batch. TotalAlloc counts bytes, so amortized
+// allocations show, where AllocsPerRun's integer division would hide
+// them.
+func TestBufPoolSteadyStateRecyclingZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode instrumentation allocates")
+	}
+	p := NewBufPool(0)
+	step := func() {
+		a := p.Get()
+		a.OpStart()
+		a.Free(a.Alloc(1000))
+		a.OpEnd()
+		p.Put(a)
+	}
+	for i := 0; i < 4*DefaultThreshold; i++ {
+		step()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 100_000; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	got, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("100000 recycled allocations: %d bytes of Go heap in %d mallocs", got, mallocs)
+	if got >= 64<<10 {
+		t.Fatalf("allocated %d bytes, want < 64 KiB", got)
+	}
+}

@@ -32,6 +32,18 @@
 //   - Pool[T] and BufPool — the lease pool over each (the sync.Pool-of-
 //     allocators pattern the urcu table introduced): per-goroutine
 //     allocators sharing one Collector, with aggregate Stats.
+//
+// Where the memory lives differs by what it holds. Allocator[T]'s objects
+// come from the Go heap: a T may hold pointers the GC must trace. A
+// BufAllocator's blocks hold none, so, as SSMEM hands out objects from
+// large memory chunks, a fresh block is carved from a chunk mapped outside
+// the Go heap (mapChunk), and recycled through the free lists from then
+// on. The GC never frees a pooled block, so counting one in its heap goal
+// only made it let the heap grow by as much again before its next cycle.
+// A BufPool unmaps its chunks only on Release, which its owner calls only
+// once no block can be read again (the server: a store it never served).
+// Until then a block read after its epoch closed may hold another value's
+// bytes, but it is always mapped memory.
 package ssmem
 
 import (
@@ -126,6 +138,7 @@ type Stats struct {
 	Collected uint64 // objects moved from released batches to the free list
 	GCPasses  uint64 // collection attempts that reclaimed at least one batch
 	Garbage   int64  // objects currently freed but not yet reusable
+	Mapped    uint64 // bytes of chunk memory mapped outside the Go heap (BufPool only)
 }
 
 // ReuseRate returns the fraction of allocations served from recycled
@@ -146,6 +159,7 @@ func (s *Stats) Add(o Stats) {
 	s.Collected += o.Collected
 	s.GCPasses += o.GCPasses
 	s.Garbage += o.Garbage
+	s.Mapped += o.Mapped
 }
 
 // counters is the internal, atomically-updated form of Stats. The owning
@@ -209,11 +223,15 @@ type batch[E any] struct {
 
 // freeList is the epoch protocol, written once: freed elements gather in
 // cur, a full window is stamped with a collector snapshot and released, and
-// a released batch moves to free once the collector proves it safe.
+// a released batch moves to free once the collector proves it safe. The
+// buffer of a batch that collect has emptied is cleared and kept in spare,
+// and release takes the next cur from there, so a steady stream of frees
+// regrows no window.
 type freeList[E any] struct {
 	free     []E        // reclaimed, ready for reuse
 	cur      []E        // freed in the current epoch window
 	released []batch[E] // stamped batches awaiting safety
+	spare    [][]E      // emptied batch buffers, length 0
 }
 
 // put frees e. It becomes reusable only after every goroutine active now
@@ -234,6 +252,10 @@ func (l *freeList[E]) release(c *Collector) {
 	}
 	l.released = append(l.released, batch[E]{items: l.cur, snap: c.snapshot()})
 	l.cur = nil
+	if n := len(l.spare); n > 0 {
+		l.cur, l.spare[n-1] = l.spare[n-1], nil
+		l.spare = l.spare[:n-1]
+	}
 }
 
 // collect moves every released batch whose snapshot has been superseded to
@@ -245,6 +267,8 @@ func (l *freeList[E]) collect(o *owner) int {
 		if o.c.safe(b.snap) {
 			l.free = append(l.free, b.items...)
 			reclaimed += len(b.items)
+			clear(b.items)
+			l.spare = append(l.spare, b.items[:0])
 		} else {
 			kept = append(kept, b)
 		}
@@ -348,6 +372,7 @@ func (a *Allocator[T]) FlushRelease() { a.release(a.c) }
 type pool[A any, PA allocator[A]] struct {
 	c         *Collector
 	threshold int
+	fresh     func(PA) // readies each allocator the pool creates; nil: nothing to do
 	stripes   *stripes[A]
 	p         sync.Pool
 
@@ -374,6 +399,9 @@ func (p *pool[A, PA]) Get() PA {
 		// straight from the table. Drop the reference and go slow.
 		p.stripes.miss()
 		a = p.getSlow()
+		// The slow path may create an allocator, which can grow, and so
+		// move, this goroutine's stack: park where the next Get looks.
+		hint = stripeHint()
 	}
 	a.own().hint = hint
 	return a
@@ -405,6 +433,9 @@ func (p *pool[A, PA]) adoptOrCreate() PA {
 		}
 	}
 	a := newAllocator[A, PA](p.c, p.threshold)
+	if p.fresh != nil {
+		p.fresh(a)
+	}
 	a.own().leased.Store(true)
 	p.all = append(p.all, a)
 	return a
@@ -480,19 +511,78 @@ func bufClassFor(n int) int {
 	return c
 }
 
+// chunkSize is the size of the chunks fresh blocks are carved from: 16
+// blocks of the top class, 32768 of the smallest.
+const chunkSize = 1 << 20
+
+// arena owns the chunks, mapped outside the Go heap, that one pool's
+// allocators carve blocks from. The mutex is taken only when a chunk is
+// mapped, and by Stats and release: never on Alloc's reuse path.
+type arena struct {
+	mu     sync.Mutex
+	chunks [][]byte
+}
+
+// grab maps a fresh chunk and registers it, or returns nil when the
+// mapping fails.
+func (r *arena) grab() []byte {
+	c, err := mapChunk(chunkSize)
+	if err != nil {
+		return nil
+	}
+	r.mu.Lock()
+	r.chunks = append(r.chunks, c)
+	r.mu.Unlock()
+	return c
+}
+
+// mapped returns the bytes of every registered chunk.
+func (r *arena) mapped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return uint64(len(r.chunks)) * chunkSize
+}
+
+// release unmaps every registered chunk.
+func (r *arena) release() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.chunks {
+		_ = unmapChunk(c) // fails only for a slice mapChunk did not return
+	}
+	r.chunks = nil
+}
+
 // BufAllocator is the per-goroutine face of a BufPool: size-classed []byte
 // allocation with SSMEM epoch reclamation, one free list per size class.
 // Like Allocator, it is single-goroutine; OpStart/OpEnd bracket the window
 // in which blocks obtained from the shared structure may still be
-// referenced.
+// referenced. A block no free list can supply is carved from the
+// allocator's current chunk, as SSMEM hands out fresh objects from its
+// memory chunks.
 type BufAllocator struct {
 	owner
 	classes [numBufClass]freeList[[]byte]
+	tail    []byte // the uncarved rest of the current chunk
+	arena   *arena
 }
 
-// NewBufAllocator registers a buffer allocator with c.
+// NewBufAllocator registers a buffer allocator with c. It carves from an
+// arena of its own, which is never unmapped.
 func NewBufAllocator(c *Collector, threshold int) *BufAllocator {
-	return newAllocator[BufAllocator](c, threshold)
+	a := newAllocator[BufAllocator](c, threshold)
+	a.adopt(new(arena))
+	return a
+}
+
+// adopt makes r the arena a carves from and maps a's first chunk. A pool
+// calls it inside the Get that creates a, before Get derives the stripe
+// hint a is parked under: a mapping can grow the goroutine's stack, which
+// moves the hint (stripeHint), and one in a's first Alloc would move it
+// after Get had derived it, so the next Get would miss its stripe.
+func (a *BufAllocator) adopt(r *arena) {
+	a.arena = r
+	a.tail = r.grab()
 }
 
 // Alloc returns a block of length n, recycled when provably safe. Blocks
@@ -507,7 +597,23 @@ func (a *BufAllocator) Alloc(n int) []byte {
 	if b, ok := a.classes[ci].take(&a.owner); ok {
 		return b[:n]
 	}
-	return make([]byte, n, 1<<(minBufShift+ci))
+	return a.carve(ci, n)
+}
+
+// carve cuts a fresh block of class ci from the current chunk, mapping a
+// new chunk when the rest of the current one is too short. The block's
+// capacity is its class size, so an append can never reach its neighbour.
+// If no chunk can be mapped the block comes from the Go heap.
+func (a *BufAllocator) carve(ci, n int) []byte {
+	size := 1 << (minBufShift + ci)
+	if len(a.tail) < size {
+		if a.tail = a.arena.grab(); a.tail == nil {
+			return make([]byte, n, size)
+		}
+	}
+	b := a.tail[:n:size]
+	a.tail = a.tail[size:]
+	return b
 }
 
 // Free hands a block back. Blocks whose capacity is not an exact size class
@@ -528,14 +634,40 @@ func (a *BufAllocator) FlushRelease() {
 }
 
 // BufPool is the lease pool over BufAllocator: per-goroutine size-classed
-// block allocators over one Collector, with aggregate Stats.
+// block allocators over one Collector and one arena, with aggregate Stats.
 type BufPool struct {
 	pool[BufAllocator, *BufAllocator]
+	arena arena
 }
 
 // NewBufPool builds a buffer pool with its own Collector.
 func NewBufPool(threshold int) *BufPool {
 	p := &BufPool{}
 	p.init(threshold)
+	p.fresh = func(a *BufAllocator) { a.adopt(&p.arena) }
 	return p
+}
+
+// Stats aggregates the counters of every allocator the pool created, and
+// reports the bytes of chunk memory the pool has mapped.
+func (p *BufPool) Stats() Stats {
+	s := p.pool.Stats()
+	s.Mapped = p.arena.mapped()
+	return s
+}
+
+// Release unmaps every chunk the pool's allocators carved blocks from and
+// empties their free lists, so the pool holds no reference into unmapped
+// memory. Every block the pool handed out is invalid afterwards: only a
+// pool whose blocks nothing can read again may be released — no lease is
+// outstanding, and no structure that holds its blocks is, or will be,
+// served.
+func (p *BufPool) Release() {
+	p.mu.Lock()
+	for _, a := range p.all {
+		a.classes = [numBufClass]freeList[[]byte]{}
+		a.tail = nil
+	}
+	p.mu.Unlock()
+	p.arena.release()
 }
