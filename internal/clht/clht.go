@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/pad"
 )
 
 // entriesPerBucket is the paper's three key/value pairs per cache line.
@@ -33,15 +34,30 @@ type bucket struct {
 	next atomic.Pointer[bucket]
 }
 
+// growShare sets CLHT-LB's growth point: a table doubles once the overflow
+// buckets linked into it number more than 1/2^growShare of its buckets.
+// 1/16 of the buckets overflow at about 1.5 keys per bucket.
+const growShare = 4
+
 // table is one generation of the bucket array (LB resizing swaps
 // generations; LF uses a single fixed generation).
 type table struct {
 	buckets []bucket
 	mask    uint64
+	// growAt is the overflow count past which CLHT-LB resizes this
+	// generation; CLHT-LF never reads it or overflow.
+	growAt int64
+	// The pad keeps overflow, written by every insert that links a
+	// bucket, off the line holding buckets and mask, which every search
+	// reads.
+	_ pad.CacheLinePad
+	// overflow counts the overflow buckets linked into this generation.
+	// They are never unlinked, so it only grows.
+	overflow atomic.Int64
 }
 
 func newTable(n int) *table {
-	return &table{buckets: make([]bucket, n), mask: uint64(n - 1)}
+	return &table{buckets: make([]bucket, n), mask: uint64(n - 1), growAt: int64(n >> growShare)}
 }
 
 // mix spreads key bits before masking, as in internal/hashtable.

@@ -1,12 +1,15 @@
 package clht
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/pad"
 	"repro/internal/perf"
 	"repro/internal/settest"
 )
@@ -39,6 +42,17 @@ func TestBucketIsOneCacheLine(t *testing.T) {
 	}
 	if entriesPerBucket != 3 {
 		t.Fatalf("entriesPerBucket = %d, want 3", entriesPerBucket)
+	}
+}
+
+// TestTableCountOffSearchLine: the overflow count, written by inserts that
+// link a bucket, shares no cache line with buckets and mask, which every
+// search reads, wherever the table is allocated.
+func TestTableCountOffSearchLine(t *testing.T) {
+	var tab table
+	end := unsafe.Offsetof(tab.mask) + unsafe.Sizeof(tab.mask)
+	if gap := unsafe.Offsetof(tab.overflow) - end; gap < pad.CacheLineSize {
+		t.Fatalf("overflow sits %d bytes after mask, want >= %d", gap, pad.CacheLineSize)
 	}
 }
 
@@ -125,6 +139,124 @@ func TestLBResizeGrows(t *testing.T) {
 	}
 }
 
+// reachableOverflow counts the overflow buckets linked into t: every
+// bucket on a chain except its head.
+func reachableOverflow(t *table) int64 {
+	var n int64
+	for i := range t.buckets {
+		for b := t.buckets[i].next.Load(); b != nil; b = b.next.Load() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLBCollidingKeysDoNotGrowTable: keys that all land in one bucket make
+// only that chain long. A per-chain resize trigger would double the table
+// on each new overflow line until the keys split (at 2^23 buckets here,
+// 512 MiB), so one bucket's worth of chosen keys would set the table size.
+func TestLBCollidingKeysDoNotGrowTable(t *testing.T) {
+	const n, bits = 45, 22
+	const low = 1<<bits - 1
+	target := mix(1) & low
+	keys := []core.Key{1}
+	for k := core.Key(2); len(keys) < n; k++ {
+		if mix(k)&low == target {
+			keys = append(keys, k)
+		}
+	}
+	cfg := core.DefaultConfig()
+	cfg.Buckets = 1024
+	h := NewLB(cfg)
+	for i, k := range keys {
+		if !h.Insert(k, core.Value(i+1)) {
+			t.Fatalf("insert(%d) failed", k)
+		}
+		if got := h.Buckets(); got != 1024 {
+			t.Fatalf("after %d colliding keys the table has %d buckets, want 1024", i+1, got)
+		}
+	}
+	for i, k := range keys {
+		if v, ok := h.Search(k); !ok || v != core.Value(i+1) {
+			t.Fatalf("search(%d) = (%d,%v), want (%d,true)", k, v, ok, i+1)
+		}
+	}
+	if got, want := h.tab.Load().overflow.Load(), reachableOverflow(h.tab.Load()); got != want {
+		t.Fatalf("overflow count %d, %d overflow buckets linked", got, want)
+	}
+}
+
+// TestLBResizeByLoad pins the growth point on random keys: one key per
+// bucket stays put, two keys per bucket double the table exactly once
+// (it passes 1/16 overflowing buckets near 1.5 keys per bucket, and the
+// doubled table is back at one). After the resize, the new table's
+// overflow count must equal its linked overflow buckets, so the rehash
+// counted what it linked.
+func TestLBResizeByLoad(t *testing.T) {
+	for _, tc := range []struct{ keys, want int }{
+		{1 << 16, 1 << 16},
+		{1 << 17, 1 << 17},
+	} {
+		cfg := core.DefaultConfig()
+		cfg.Buckets = 1 << 16
+		h := NewLB(cfg)
+		rng := rand.New(rand.NewSource(48))
+		for n := 0; n < tc.keys; {
+			k := core.Key(rng.Uint64())
+			if k == 0 || k == math.MaxUint64 {
+				continue
+			}
+			if h.Insert(k, core.Value(k)) {
+				n++
+			}
+		}
+		if got := h.Buckets(); got != tc.want {
+			t.Fatalf("%d keys into %d buckets: table has %d buckets, want %d",
+				tc.keys, cfg.Buckets, got, tc.want)
+		}
+		tab := h.tab.Load()
+		if got, want := tab.overflow.Load(), reachableOverflow(tab); got != want {
+			t.Fatalf("%d keys: overflow count %d, %d overflow buckets linked", tc.keys, got, want)
+		}
+		if got := h.Size(); got != tc.keys {
+			t.Fatalf("size = %d, want %d", got, tc.keys)
+		}
+	}
+}
+
+// TestLBOverflowCountConcurrent: inserters racing each other and the
+// resizes they trigger leave the served table's overflow count equal to
+// its linked overflow buckets, and every key findable.
+func TestLBOverflowCountConcurrent(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Buckets = 16
+	h := NewLB(cfg)
+	const workers, per = 4, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				k := core.Key(i*workers + w + 1) // disjoint across workers
+				h.Insert(k, core.Value(k))
+			}
+		}(w)
+	}
+	wg.Wait()
+	tab := h.tab.Load()
+	if got, want := tab.overflow.Load(), reachableOverflow(tab); got != want {
+		t.Fatalf("overflow count %d, %d overflow buckets linked", got, want)
+	}
+	if tab.overflow.Load() > tab.growAt {
+		t.Fatalf("served table of %d buckets holds %d overflow buckets, past its growth point %d",
+			len(tab.buckets), tab.overflow.Load(), tab.growAt)
+	}
+	if got := h.Size(); got != workers*per {
+		t.Fatalf("size = %d, want %d", got, workers*per)
+	}
+}
+
 // TestLFNoDuplicateSlots checks the CLHT-LF uniqueness invariant after a
 // same-key insert storm: at most one VALID slot holds any key.
 func TestLFNoDuplicateSlots(t *testing.T) {
@@ -192,7 +324,7 @@ func TestLBOverflowChains(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Buckets = 1
 	h := NewLB(cfg)
-	h.expandThreshold = 1 << 30 // disable resize; force chaining
+	h.tab.Load().growAt = math.MaxInt64 // disable resize; force chaining
 	const n = 50
 	for k := core.Key(1); k <= n; k++ {
 		if !h.Insert(k, core.Value(k*3)) {

@@ -12,18 +12,20 @@ import (
 // updates search first (ASCY3), then lock and modify the pair in place.
 // Searches never synchronize: they read each pair with the paper's atomic
 // snapshot (val, key, val re-check) and complete with no stores (ASCY1).
+//
+// A full bucket links an overflow cache-line bucket; the table doubles
+// when the overflow buckets linked into it pass 1/16 of its buckets
+// (table.growAt). Growth follows the load of the whole table, so keys
+// that all land in one bucket lengthen only that chain.
 type LB struct {
 	tab          atomic.Pointer[table]
 	resizeLock   locks.TAS
 	readOnlyFail bool
-	// expandThreshold is the chain length (in overflow buckets) that
-	// triggers a resize instead of another link.
-	expandThreshold int
 }
 
 // NewLB builds a CLHT-LB with cfg.Buckets cache-line buckets (power of two).
 func NewLB(cfg core.Config) *LB {
-	h := &LB{readOnlyFail: cfg.ReadOnlyFail, expandThreshold: 2}
+	h := &LB{readOnlyFail: cfg.ReadOnlyFail}
 	h.tab.Store(newTable(pow2(cfg.Buckets)))
 	return h
 }
@@ -67,14 +69,13 @@ func (h *LB) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 // with the match and first-free-slot positions. The caller owns first's
 // lock and must release it (directly or via installLocked).
 type bucketScan struct {
-	t        *table
-	first    *bucket // locked head of the chain
-	matchB   *bucket // bucket holding k, nil if absent
-	matchI   int
-	freeB    *bucket // first free slot seen, nil if chain full
-	freeI    int
-	last     *bucket // tail of the chain
-	chainLen int     // overflow hops walked
+	t      *table
+	first  *bucket // locked head of the chain
+	matchB *bucket // bucket holding k, nil if absent
+	matchI int
+	freeB  *bucket // first free slot seen, nil if chain full
+	freeI  int
+	last   *bucket // tail of the chain
 }
 
 // lockedScan locks k's bucket (retrying across resizes) and walks the whole
@@ -111,15 +112,16 @@ func (h *LB) lockedScan(c *perf.Ctx, k core.Key) bucketScan {
 				return sc
 			}
 			b = nxt
-			sc.chainLen++
 		}
 	}
 }
 
-// installLocked publishes (k, v) into a scanned chain with no match — into
-// the free slot if one was found, else a fresh overflow cache-line bucket —
-// then unlocks and resizes if the chain got long ("the operation either
-// links a new bucket by using the next pointer, or resizes the hash table").
+// installLocked publishes (k, v) into a scanned chain with no match: into
+// the free slot if one was found, else a fresh overflow cache-line bucket
+// ("the operation either links a new bucket by using the next pointer, or
+// resizes the hash table"). It unlocks, then resizes if that link took the
+// table's overflow count past its growth point; the count is touched only
+// by an insert that links a bucket.
 func (h *LB) installLocked(c *perf.Ctx, sc *bucketScan, k core.Key, v core.Value) {
 	if sc.freeI >= 0 {
 		// Publish val before key: a concurrent search matches the key
@@ -136,7 +138,7 @@ func (h *LB) installLocked(c *perf.Ctx, sc *bucketScan, k core.Key, v core.Value
 	sc.last.next.Store(nb)
 	c.Inc(perf.EvStore)
 	unlockBucket(sc.first)
-	if sc.chainLen+1 >= h.expandThreshold {
+	if sc.t.overflow.Add(1) > sc.t.growAt {
 		h.resize(sc.t)
 	}
 }
@@ -229,7 +231,8 @@ func (h *LB) resize(old *table) {
 	}
 }
 
-// put inserts into a private (not yet published) table.
+// put inserts into a private (not yet published) table, counting the
+// overflow buckets it links as installLocked does.
 func (h *LB) put(t *table, k core.Key, v core.Value) {
 	b := &t.buckets[mix(k)&t.mask]
 	for {
@@ -246,6 +249,7 @@ func (h *LB) put(t *table, k core.Key, v core.Value) {
 			nb.val[0].Store(uint64(v))
 			nb.key[0].Store(uint64(k))
 			b.next.Store(nb)
+			t.overflow.Add(1)
 			return
 		}
 		b = nxt
