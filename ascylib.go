@@ -12,7 +12,9 @@
 // scratch with the ASCY patterns: the cache-line hash table CLHT (lock-based
 // and lock-free) and the versioned-ticket-lock tree BST-TK.
 //
-// All sets share one interface over 64-bit keys and values:
+// All sets share one interface over 64-bit keys and values — the paper's
+// Search, Insert and Remove, plus ForEach and Size, which counts what
+// ForEach yields:
 //
 //	s := ascylib.MustNew("ht-clht-lb", ascylib.Capacity(1<<16))
 //	s.Insert(42, 7)
@@ -20,13 +22,13 @@
 //	s.Remove(42)
 //
 // The v2 surface extends every algorithm with Update (atomic
-// read-modify-write), GetOrInsert, and ForEach (Extended, via Extend or
-// NewExtended) and with ordered scans Range/Min/Max (Ordered, via
-// OrderedOf) — natively where the structure supports them, through correct
-// generic fallbacks elsewhere; Algorithm.Caps and `ascybench list` report
-// which. The generic facade Map[K, V] carries typed integer keys
-// (order-preserving, so Range works on signed keys too) and arbitrary
-// values on the 64-bit core:
+// read-modify-write) and GetOrInsert (Extended, via Extend or NewExtended)
+// and with ordered scans Range/Min/Max (Ordered, via OrderedOf) —
+// natively where the structure supports them, through correct generic
+// fallbacks elsewhere; Algorithm.Caps and `ascybench list` report which.
+// The generic facade Map[K, V] carries typed integer keys (order-preserving,
+// so Range works on signed keys too) and arbitrary values on the 64-bit
+// core:
 //
 //	m := ascylib.MustNewMap[int64, string]("sl-fraser-opt")
 //	m.Put(-3, "hello")
@@ -79,12 +81,13 @@ type Key = core.Key
 // Value is a 64-bit opaque value word.
 type Value = core.Value
 
-// Set is the common search-data-structure interface: Search, Insert, Remove
-// (plus a linear-time, quiescent Size).
+// Set is the common search-data-structure interface: Search, Insert, Remove,
+// plus a linear-time ForEach and Size, the number of elements ForEach
+// yields (quiescent use, like ASCYLIB's size()).
 type Set = core.Set
 
 // Extended is the v2 operation surface: Set plus Update (atomic
-// read-modify-write), GetOrInsert, and ForEach. Obtain one for any
+// read-modify-write) and GetOrInsert. Obtain one for any
 // algorithm with NewExtended or Extend; see Capabilities for whether the
 // operations are native or served by the generic fallbacks.
 type Extended = core.Extended
@@ -129,7 +132,7 @@ func New(name string, opts ...Option) (Set, error) { return core.New(name, opts.
 func MustNew(name string, opts ...Option) Set { return core.MustNew(name, opts...) }
 
 // NewExtended constructs the named algorithm with the full v2 surface:
-// native Update/GetOrInsert/ForEach where the implementation has them,
+// native Update/GetOrInsert where the implementation has them,
 // correct generic fallbacks elsewhere.
 func NewExtended(name string, opts ...Option) (Extended, error) {
 	return core.NewExtended(name, opts...)

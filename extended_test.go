@@ -18,15 +18,11 @@ func TestExtendedConformance(t *testing.T) {
 }
 
 // TestCapabilitiesConsistent pins the capability matrix to the registry
-// metadata: the Ordered flag must match a native Range implementation,
-// every algorithm must be enumerable, and the headline native operations
-// the redesign added must actually be native.
+// metadata: the Ordered flag must match a native Range implementation, and
+// the headline native operations the redesign added must actually be native.
 func TestCapabilitiesConsistent(t *testing.T) {
 	for _, a := range ascylib.Algorithms() {
 		c := a.Caps()
-		if !c.NativeForEach {
-			t.Errorf("%s: no native ForEach; the surface cannot be served", a.Name)
-		}
 		if a.Ordered != c.NativeRange {
 			t.Errorf("%s: registry Ordered=%v but native Range=%v", a.Name, a.Ordered, c.NativeRange)
 		}

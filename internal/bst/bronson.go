@@ -324,21 +324,3 @@ func (t *Bronson) Insert(k core.Key, v core.Value) bool { return t.InsertCtx(nil
 
 // Remove deletes k if present.
 func (t *Bronson) Remove(k core.Key) (core.Value, bool) { return t.RemoveCtx(nil, k) }
-
-// Size counts value-bearing nodes. Quiescent use only.
-func (t *Bronson) Size() int {
-	n := 0
-	stack := []*brNode{t.root.right.Load()}
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if nd == nil {
-			continue
-		}
-		if nd.hasVal.Load() {
-			n++
-		}
-		stack = append(stack, nd.left.Load(), nd.right.Load())
-	}
-	return n
-}

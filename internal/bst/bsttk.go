@@ -283,21 +283,3 @@ func (t *TK) Insert(k core.Key, v core.Value) bool { return t.InsertCtx(nil, k, 
 
 // Remove deletes k if present.
 func (t *TK) Remove(k core.Key) (core.Value, bool) { return t.RemoveCtx(nil, k) }
-
-// Size counts non-sentinel leaves. Quiescent use only.
-func (t *TK) Size() int {
-	n := 0
-	stack := []*tkNode{t.groot.left.Load()}
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if nd.isLeaf() {
-			if nd.key != sentinelKey {
-				n++
-			}
-			continue
-		}
-		stack = append(stack, nd.left.Load(), nd.right.Load())
-	}
-	return n
-}

@@ -389,14 +389,3 @@ func (t *Drachsler) Insert(k core.Key, v core.Value) bool { return t.InsertCtx(n
 
 // Remove deletes k if present.
 func (t *Drachsler) Remove(k core.Key) (core.Value, bool) { return t.RemoveCtx(nil, k) }
-
-// Size walks the list. Quiescent use only.
-func (t *Drachsler) Size() int {
-	n := 0
-	for curr := t.head.succ.Load(); curr != t.tail; curr = curr.succ.Load() {
-		if !curr.marked.Load() {
-			n++
-		}
-	}
-	return n
-}

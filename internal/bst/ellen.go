@@ -283,21 +283,3 @@ func (t *Ellen) Insert(k core.Key, v core.Value) bool { return t.InsertCtx(nil, 
 
 // Remove deletes k if present.
 func (t *Ellen) Remove(k core.Key) (core.Value, bool) { return t.RemoveCtx(nil, k) }
-
-// Size counts non-sentinel leaves. Quiescent use only.
-func (t *Ellen) Size() int {
-	n := 0
-	stack := []*eNode{t.root.left.Load()}
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !nd.internal {
-			if nd.key != sentinelKey {
-				n++
-			}
-			continue
-		}
-		stack = append(stack, nd.left.Load(), nd.right.Load())
-	}
-	return n
-}

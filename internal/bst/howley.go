@@ -400,23 +400,3 @@ func (t *Howley) Insert(k core.Key, v core.Value) bool { return t.InsertCtx(nil,
 
 // Remove deletes k if present.
 func (t *Howley) Remove(k core.Key) (core.Value, bool) { return t.RemoveCtx(nil, k) }
-
-// Size counts reachable live nodes (excluding the sentinel and nodes whose
-// op word is MARK: those are logically deleted, awaiting excision by the
-// next traversal that helps them). Quiescent use only.
-func (t *Howley) Size() int {
-	n := 0
-	stack := []*hwNode{t.root.right.Load()}
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if nd.absent() {
-			continue
-		}
-		if nd.op.Load().state != hwMark {
-			n++
-		}
-		stack = append(stack, nd.left.Load(), nd.right.Load())
-	}
-	return n
-}

@@ -1,13 +1,12 @@
 // Ordered iteration (v2 surface) for the BSTs: in-order traversals with
 // lo-side pruning (a subtree is descended only if it can hold keys >= lo;
 // the hi bound cuts the walk off via yield). Each type embeds
-// core.OrderedVia, which derives ForEach/Range/Min/Max from ascend
+// core.OrderedVia, which derives ForEach/Size/Range/Min/Max from ascend
 // (constructors wire it up). Traversals are read-only — no locks, no
-// helping — and, like Size, observe each element at some point during the
-// call rather than one atomic snapshot; core.RangeAscend enforces the
-// sorted, duplicate-free Range contract even when a concurrent rotation
-// moves nodes mid-walk. The async trees bound their walks with
-// AsyncStepLimit exactly like their Size methods.
+// helping — and observe each element at some point during the call rather
+// than one atomic snapshot; core.RangeAscend enforces the sorted,
+// duplicate-free Range contract even when a concurrent rotation moves
+// nodes mid-walk. The async trees bound their walks with AsyncStepLimit.
 package bst
 
 import "repro/internal/core"
@@ -144,7 +143,7 @@ func hwAscend(nd *hwNode, lo core.Key, yield func(core.Key, core.Value) bool) bo
 		return false
 	}
 	// Nodes whose op word is MARK are logically deleted (awaiting
-	// excision), exactly as in Size.
+	// excision by the next traversal that helps them).
 	if kv.key >= lo && nd.op.Load().state != hwMark {
 		if !yield(kv.key, kv.val) {
 			return false

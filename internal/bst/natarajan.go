@@ -265,21 +265,3 @@ func (t *Natarajan) Insert(k core.Key, v core.Value) bool { return t.InsertCtx(n
 
 // Remove deletes k if present.
 func (t *Natarajan) Remove(k core.Key) (core.Value, bool) { return t.RemoveCtx(nil, k) }
-
-// Size counts non-sentinel leaves. Quiescent use only.
-func (t *Natarajan) Size() int {
-	n := 0
-	stack := []*nmNode{t.root.left.Load().n}
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !nd.internal {
-			if nd.key != sentinelKey {
-				n++
-			}
-			continue
-		}
-		stack = append(stack, nd.left.Load().n, nd.right.Load().n)
-	}
-	return n
-}

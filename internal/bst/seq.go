@@ -159,25 +159,6 @@ func (t *SeqInt) Insert(k core.Key, v core.Value) bool { return t.InsertCtx(nil,
 // Remove deletes k if present.
 func (t *SeqInt) Remove(k core.Key) (core.Value, bool) { return t.RemoveCtx(nil, k) }
 
-// Size counts elements iteratively (bounded). Quiescent use only.
-func (t *SeqInt) Size() int {
-	n, steps := 0, 0
-	stack := []*siNode{t.root.left}
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if nd == nil {
-			continue
-		}
-		n++
-		if steps++; t.limit > 0 && steps > t.limit {
-			break
-		}
-		stack = append(stack, nd.left, nd.right)
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------------
 // Sequential external BST (async-ext).
 
@@ -290,27 +271,3 @@ func (t *SeqExt) Insert(k core.Key, v core.Value) bool { return t.InsertCtx(nil,
 
 // Remove deletes k if present.
 func (t *SeqExt) Remove(k core.Key) (core.Value, bool) { return t.RemoveCtx(nil, k) }
-
-// Size counts non-sentinel leaves. Quiescent use only.
-func (t *SeqExt) Size() int {
-	n, steps := 0, 0
-	stack := []*seNode{t.root.left}
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if nd == nil {
-			continue
-		}
-		if nd.leaf() {
-			if nd.key != sentinelKey {
-				n++
-			}
-			continue
-		}
-		if steps++; t.limit > 0 && steps > t.limit {
-			break
-		}
-		stack = append(stack, nd.left, nd.right)
-	}
-	return n
-}

@@ -48,11 +48,12 @@ type table struct {
 	// generation; CLHT-LF never reads it or overflow.
 	growAt int64
 	// The pad keeps overflow, written by every insert that links a
-	// bucket, off the line holding buckets and mask, which every search
-	// reads.
+	// bucket and every remove that unlinks one, off the line holding
+	// buckets and mask, which every search reads.
 	_ pad.CacheLinePad
-	// overflow counts the overflow buckets linked into this generation.
-	// They are never unlinked, so it only grows.
+	// overflow counts the overflow buckets linked into this generation:
+	// an insert that links one adds it, a remove that empties and
+	// unlinks one takes it off, so it follows the load, not the history.
 	overflow atomic.Int64
 }
 

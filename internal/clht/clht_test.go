@@ -224,22 +224,85 @@ func TestLBResizeByLoad(t *testing.T) {
 	}
 }
 
+// TestLBSteadyChurnKeepsTable: replacing keys at a steady load of one key
+// per bucket must not grow the table. A remove that empties an overflow
+// bucket unlinks it and takes it off the overflow count, so the count
+// follows the live keys; were emptied buckets left linked, the count would
+// only grow and the table would double round after round. A quarter of the
+// removes go through Update's delete path.
+func TestLBSteadyChurnKeepsTable(t *testing.T) {
+	const n, rounds = 1 << 16, 16
+	cfg := core.DefaultConfig()
+	cfg.Buckets = n
+	h := NewLB(cfg)
+	rng := rand.New(rand.NewSource(31))
+	fresh := func() core.Key {
+		for {
+			k := core.Key(rng.Uint64())
+			if k != 0 && k != math.MaxUint64 && h.Insert(k, core.Value(k)) {
+				return k
+			}
+		}
+	}
+	live := make([]core.Key, n)
+	for i := range live {
+		live[i] = fresh()
+	}
+	drop := func(old core.Value, _ bool) (core.Value, bool) { return old, false }
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < n; i++ {
+			j := rng.Intn(n)
+			k := live[j]
+			var v core.Value
+			if i%4 == 0 {
+				v, _ = h.Update(k, drop) // returns the removed value
+			} else {
+				v, _ = h.Remove(k)
+			}
+			if v != core.Value(k) {
+				t.Fatalf("round %d: remove(%d) found nothing", r, k)
+			}
+			live[j] = fresh()
+		}
+		tab := h.tab.Load()
+		if got := h.Buckets(); got != n {
+			t.Fatalf("after round %d the table has %d buckets, want %d (%d overflow buckets, growth point %d)",
+				r, got, n, tab.overflow.Load(), tab.growAt)
+		}
+		if got, want := tab.overflow.Load(), reachableOverflow(tab); got != want {
+			t.Fatalf("round %d: overflow count %d, %d overflow buckets linked", r, got, want)
+		}
+		if got := h.Size(); got != n {
+			t.Fatalf("round %d: size = %d, want %d", r, got, n)
+		}
+	}
+}
+
 // TestLBOverflowCountConcurrent: inserters racing each other and the
-// resizes they trigger leave the served table's overflow count equal to
-// its linked overflow buckets, and every key findable.
+// resizes they trigger, then removers and re-inserters racing each other's
+// unlinks, leave the served table's overflow count equal to its linked
+// overflow buckets, and every key findable.
 func TestLBOverflowCountConcurrent(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Buckets = 16
 	h := NewLB(cfg)
-	const workers, per = 4, 5000
+	const workers, per, rounds = 4, 5000, 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			key := func(i int) core.Key { return core.Key(i*workers + w + 1) } // disjoint across workers
 			for i := 0; i < per; i++ {
-				k := core.Key(i*workers + w + 1) // disjoint across workers
-				h.Insert(k, core.Value(k))
+				h.Insert(key(i), core.Value(key(i)))
+			}
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < per; i++ {
+					h.Remove(key(i))
+				}
+				for i := 0; i < per; i++ {
+					h.Insert(key(i), core.Value(key(i)))
+				}
 			}
 		}(w)
 	}

@@ -13,10 +13,12 @@ import (
 // Searches never synchronize: they read each pair with the paper's atomic
 // snapshot (val, key, val re-check) and complete with no stores (ASCY1).
 //
-// A full bucket links an overflow cache-line bucket; the table doubles
-// when the overflow buckets linked into it pass 1/16 of its buckets
-// (table.growAt). Growth follows the load of the whole table, so keys
-// that all land in one bucket lengthen only that chain.
+// A full bucket links an overflow cache-line bucket, and a remove that
+// empties an overflow bucket unlinks it; the table doubles when the
+// overflow buckets linked into it pass 1/16 of its buckets (table.growAt).
+// Growth follows the load of the whole table, so keys that all land in one
+// bucket lengthen only that chain, and churn at a steady load keeps the
+// table at a steady size.
 type LB struct {
 	tab          atomic.Pointer[table]
 	resizeLock   locks.TAS
@@ -71,6 +73,7 @@ func (h *LB) SearchCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 type bucketScan struct {
 	t      *table
 	first  *bucket // locked head of the chain
+	matchP *bucket // bucket linking to matchB, nil if matchB is first
 	matchB *bucket // bucket holding k, nil if absent
 	matchI int
 	freeB  *bucket // first free slot seen, nil if chain full
@@ -80,8 +83,7 @@ type bucketScan struct {
 
 // lockedScan locks k's bucket (retrying across resizes) and walks the whole
 // chain once, recording where k lives and where a new pair could go. It is
-// the single copy of the locked-update protocol that InsertCtx, GetOrInsert,
-// and Update all sit on.
+// the single copy of the locked-update protocol that every update sits on.
 func (h *LB) lockedScan(c *perf.Ctx, k core.Key) bucketScan {
 	for {
 		t := h.tab.Load()
@@ -94,12 +96,13 @@ func (h *LB) lockedScan(c *perf.Ctx, k core.Key) bucketScan {
 			continue
 		}
 		sc := bucketScan{t: t, first: first, matchI: -1, freeI: -1}
+		var prev *bucket
 		b := first
 		for {
 			for i := 0; i < entriesPerBucket; i++ {
 				kk := b.key[i].Load()
 				if kk == uint64(k) {
-					sc.matchB, sc.matchI = b, i
+					sc.matchP, sc.matchB, sc.matchI = prev, b, i
 					return sc
 				}
 				if sc.freeI < 0 && kk == 0 {
@@ -111,7 +114,7 @@ func (h *LB) lockedScan(c *perf.Ctx, k core.Key) bucketScan {
 				sc.last = b
 				return sc
 			}
-			b = nxt
+			prev, b = b, nxt
 		}
 	}
 }
@@ -120,8 +123,7 @@ func (h *LB) lockedScan(c *perf.Ctx, k core.Key) bucketScan {
 // the free slot if one was found, else a fresh overflow cache-line bucket
 // ("the operation either links a new bucket by using the next pointer, or
 // resizes the hash table"). It unlocks, then resizes if that link took the
-// table's overflow count past its growth point; the count is touched only
-// by an insert that links a bucket.
+// table's overflow count past its growth point.
 func (h *LB) installLocked(c *perf.Ctx, sc *bucketScan, k core.Key, v core.Value) {
 	if sc.freeI >= 0 {
 		// Publish val before key: a concurrent search matches the key
@@ -141,6 +143,32 @@ func (h *LB) installLocked(c *perf.Ctx, sc *bucketScan, k core.Key, v core.Value
 	if sc.t.overflow.Add(1) > sc.t.growAt {
 		h.resize(sc.t)
 	}
+}
+
+// clearLocked removes the scanned match: it clears the slot, the
+// linearization point for searches, and unlinks the bucket if that left an
+// overflow bucket empty. The paper's removes leave emptied buckets linked,
+// so a table at a steady load keeps counting them and doubles over and
+// over. The unlink is safe under the head lock: a search or ForEach
+// standing on the bucket still reaches the rest of the chain through its
+// next pointer, which is left unchanged, and because a key never moves
+// between buckets, no next pointer can skip a bucket that is still linked.
+// The caller unlocks.
+func (h *LB) clearLocked(c *perf.Ctx, sc *bucketScan) {
+	b := sc.matchB
+	b.key[sc.matchI].Store(0)
+	c.Inc(perf.EvStore)
+	if sc.matchP == nil {
+		return
+	}
+	for i := 0; i < entriesPerBucket; i++ {
+		if b.key[i].Load() != 0 {
+			return
+		}
+	}
+	sc.matchP.next.Store(b.next.Load())
+	c.Inc(perf.EvStore)
+	sc.t.overflow.Add(-1)
 }
 
 // InsertCtx implements core.Instrumented.
@@ -174,30 +202,15 @@ func (h *LB) RemoveCtx(c *perf.Ctx, k core.Key) (core.Value, bool) {
 			return 0, false
 		}
 	}
-	for {
-		t := h.tab.Load()
-		first := &t.buckets[mix(k)&t.mask]
-		lockBucket(first)
-		c.Inc(perf.EvLock)
-		if h.tab.Load() != t {
-			unlockBucket(first)
-			c.Inc(perf.EvRestart)
-			continue
-		}
-		for b := first; b != nil; b = b.next.Load() {
-			for i := 0; i < entriesPerBucket; i++ {
-				if b.key[i].Load() == uint64(k) {
-					v := core.Value(b.val[i].Load())
-					b.key[i].Store(0) // linearization point for searches
-					c.Inc(perf.EvStore)
-					unlockBucket(first)
-					return v, true
-				}
-			}
-		}
-		unlockBucket(first)
+	sc := h.lockedScan(c, k)
+	if sc.matchI < 0 {
+		unlockBucket(sc.first)
 		return 0, false
 	}
+	v := core.Value(sc.matchB.val[sc.matchI].Load())
+	h.clearLocked(c, &sc)
+	unlockBucket(sc.first)
+	return v, true
 }
 
 // resize doubles the table: it serializes resizers, locks every old bucket
@@ -296,7 +309,7 @@ func (h *LB) Update(k core.Key, f core.UpdateFunc) (core.Value, bool) {
 		nv, keep := f(old, true)
 		switch {
 		case !keep:
-			sc.matchB.key[sc.matchI].Store(0) // as RemoveCtx
+			h.clearLocked(nil, &sc)
 		case nv != old:
 			sc.matchB.val[sc.matchI].Store(uint64(nv))
 		}
@@ -318,7 +331,7 @@ func (h *LB) Update(k core.Key, f core.UpdateFunc) (core.Value, bool) {
 	return nv, true
 }
 
-// ForEach implements core.Iterable: a read-only sweep over the occupied
+// ForEach implements core.Set: a read-only sweep over the occupied
 // slots. It observes each pair at some point during the call, not one
 // atomic snapshot, but each yielded pair is individually valid: every slot
 // is read with the paper's val/key/val snapshot (as in SearchCtx), so a
@@ -358,21 +371,8 @@ func (h *LB) Insert(k core.Key, v core.Value) bool { return h.InsertCtx(nil, k, 
 // Remove deletes k if present.
 func (h *LB) Remove(k core.Key) (core.Value, bool) { return h.RemoveCtx(nil, k) }
 
-// Size counts occupied slots. Quiescent use only.
-func (h *LB) Size() int {
-	t := h.tab.Load()
-	n := 0
-	for i := range t.buckets {
-		for b := &t.buckets[i]; b != nil; b = b.next.Load() {
-			for s := 0; s < entriesPerBucket; s++ {
-				if b.key[s].Load() != 0 {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
+// Size implements core.Set: the number of elements ForEach yields.
+func (h *LB) Size() int { return core.Count(h) }
 
 // Buckets reports the current table size (tests observe resizing).
 func (h *LB) Buckets() int { return len(h.tab.Load().buckets) }

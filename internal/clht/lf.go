@@ -241,7 +241,7 @@ func (h *LF) getOrInsertCtx(c *perf.Ctx, k core.Key, v core.Value) (core.Value, 
 	}
 }
 
-// ForEach implements core.Iterable: a read-only sweep over the VALID slots.
+// ForEach implements core.Set: a read-only sweep over the VALID slots.
 // It observes each pair at some point during the call, not one atomic
 // snapshot, but each yielded pair is individually valid: as in SearchCtx,
 // the pair is re-validated against the snapshot_t version after the reads,
@@ -328,18 +328,5 @@ func (h *LF) Insert(k core.Key, v core.Value) bool { return h.InsertCtx(nil, k, 
 // Remove deletes k if present.
 func (h *LF) Remove(k core.Key) (core.Value, bool) { return h.RemoveCtx(nil, k) }
 
-// Size counts VALID slots. Quiescent use only.
-func (h *LF) Size() int {
-	n := 0
-	for i := range h.t.buckets {
-		for b := &h.t.buckets[i]; b != nil; b = b.next.Load() {
-			s := b.conc.Load()
-			for j := 0; j < entriesPerBucket; j++ {
-				if snapState(s, j) == slotValid {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
+// Size implements core.Set: the number of elements ForEach yields.
+func (h *LF) Size() int { return core.Count(h) }

@@ -42,10 +42,25 @@ type Set interface {
 	// Remove deletes the element with the given key, returning its value.
 	// The second result reports whether an element was removed.
 	Remove(k Key) (Value, bool)
-	// Size counts the elements currently in the set. It is linear time,
-	// not linearizable under concurrency, and intended for tests and
-	// quiescent verification — exactly like ASCYLIB's size().
+	// ForEach calls yield for every element until yield returns false.
+	// The traversal is linear time and not linearizable under
+	// concurrency: it observes each element at some point during the
+	// call, but not a single atomic snapshot.
+	ForEach(yield func(k Key, v Value) bool)
+	// Size is the number of elements ForEach yields (see Count). Like
+	// ForEach it is linear time and not linearizable, and it is intended
+	// for tests and quiescent verification — exactly like ASCYLIB's
+	// size().
 	Size() int
+}
+
+// Count is the number of elements s.ForEach yields. The hash tables' Size
+// methods return it; OrderedVia.Size is the same count over the ordered
+// structures' ascend iterator.
+func Count(s Set) int {
+	n := 0
+	s.ForEach(func(Key, Value) bool { n++; return true })
+	return n
 }
 
 // Instrumented is implemented by every structure in this library. The *Ctx
@@ -188,8 +203,6 @@ type Capabilities struct {
 	NativeUpdate bool
 	// NativeGetOrInsert: get-or-insert in one structure pass.
 	NativeGetOrInsert bool
-	// NativeForEach: the structure enumerates its own elements.
-	NativeForEach bool
 	// NativeRange: ordered scans traverse the structure directly instead
 	// of snapshot-and-sort.
 	NativeRange bool
@@ -204,7 +217,6 @@ func (a Algorithm) Caps() Capabilities {
 	var c Capabilities
 	_, c.NativeUpdate = s.(Updater)
 	_, c.NativeGetOrInsert = s.(GetOrInserter)
-	_, c.NativeForEach = s.(Iterable)
 	_, c.NativeRange = s.(Ordered)
 	return c
 }

@@ -7,10 +7,11 @@ import (
 
 type fakeSet struct{}
 
-func (fakeSet) Search(Key) (Value, bool) { return 0, false }
-func (fakeSet) Insert(Key, Value) bool   { return false }
-func (fakeSet) Remove(Key) (Value, bool) { return 0, false }
-func (fakeSet) Size() int                { return 0 }
+func (fakeSet) Search(Key) (Value, bool)      { return 0, false }
+func (fakeSet) Insert(Key, Value) bool        { return false }
+func (fakeSet) Remove(Key) (Value, bool)      { return 0, false }
+func (fakeSet) ForEach(func(Key, Value) bool) {}
+func (fakeSet) Size() int                     { return 0 }
 
 func TestRegistryRoundTrip(t *testing.T) {
 	Register(Algorithm{

@@ -4,9 +4,10 @@
 // which reproduces the evaluation but is too narrow for building services on
 // top of the library: real workloads need read-modify-write primitives and
 // ordered scans. This file adds the v2 surface in two interfaces — Extended
-// (Update, GetOrInsert, ForEach) and Ordered (Range, Min, Max) — together
+// (Set plus Update and GetOrInsert) and Ordered (Range, Min, Max) — together
 // with correct generic fallbacks so that every registered algorithm serves
-// every operation, natively or not. The registry's Capabilities report which
+// every operation, natively or not. Enumeration needs no fallback: ForEach
+// belongs to Set itself. The registry's Capabilities report which
 // path an algorithm takes, so callers and the harness can pick native
 // implementations when the operation is on a hot path.
 package core
@@ -42,24 +43,13 @@ type GetOrInserter interface {
 	GetOrInsert(k Key, v Value) (v2 Value, inserted bool)
 }
 
-// Iterable is the native enumeration interface. Every structure in this
-// library implements it.
-type Iterable interface {
-	// ForEach calls yield for every element until yield returns false.
-	// Like Size, the traversal is linear time and not linearizable under
-	// concurrency: it observes each element at some point during the
-	// call, but not a single atomic snapshot.
-	ForEach(yield func(k Key, v Value) bool)
-}
-
-// Extended is the v2 operation surface: the paper's set interface plus
-// read-modify-write, get-or-insert, and enumeration. Obtain one for any
-// registered algorithm with Extend (or NewExtended).
+// Extended is the v2 operation surface: the set interface plus
+// read-modify-write and get-or-insert. Obtain one for any registered
+// algorithm with Extend (or NewExtended).
 type Extended interface {
 	Set
 	Updater
 	GetOrInserter
-	Iterable
 }
 
 // Ordered is the sorted-scan interface, implemented natively by the ordered
@@ -91,7 +81,6 @@ type extWrap struct {
 	Set
 	u  Updater
 	g  GetOrInserter
-	it Iterable
 	mu [updateStripes]sync.Mutex
 }
 
@@ -117,7 +106,6 @@ func Extend(s Set) Extended {
 	w := &extWrap{Set: s}
 	w.u, _ = s.(Updater)
 	w.g, _ = s.(GetOrInserter)
-	w.it, _ = s.(Iterable)
 	if o, ok := s.(Ordered); ok {
 		// Keep the native ordered surface visible through the wrapper,
 		// so OrderedOf(Extend(s)) does not silently downgrade a sorted
@@ -147,9 +135,7 @@ func (w *orderedExtWrap) Max() (Key, Value, bool) { return w.ord.Max() }
 // conformance suite can check fallback-vs-native parity; library code should
 // use Extend.
 func Fallback(s Set) Extended {
-	w := &extWrap{Set: s}
-	w.it, _ = s.(Iterable)
-	return w
+	return &extWrap{Set: s}
 }
 
 func (w *extWrap) stripe(k Key) *sync.Mutex {
@@ -225,29 +211,15 @@ func (w *extWrap) GetOrInsert(k Key, v Value) (Value, bool) {
 	}
 }
 
-// ForEach implements Iterable. There is no generic way to enumerate an
-// opaque Set, so a structure that lacks a native ForEach cannot be extended;
-// every structure in this library has one.
-func (w *extWrap) ForEach(yield func(Key, Value) bool) {
-	if w.it == nil {
-		panic("core: set does not implement Iterable; ForEach has no generic fallback")
-	}
-	w.it.ForEach(yield)
-}
-
 // OrderedOf returns an ordered view of s: s itself when the implementation
 // is natively ordered (native reports true), else a fallback that snapshots
 // the structure via ForEach and sorts (native false). The fallback costs
-// O(n log n) per Range/Min/Max call; it returns nil only for a Set outside
-// this library that implements neither Ordered nor Iterable.
+// O(n log n) per Range/Min/Max call.
 func OrderedOf(s Set) (o Ordered, native bool) {
 	if o, ok := s.(Ordered); ok {
 		return o, true
 	}
-	if it, ok := s.(Iterable); ok {
-		return sortedView{it}, false
-	}
-	return nil, false
+	return sortedView{s}, false
 }
 
 type kvPair struct {
@@ -255,15 +227,15 @@ type kvPair struct {
 	v Value
 }
 
-// sortedView serves Ordered over any Iterable by collect-and-sort.
-type sortedView struct{ it Iterable }
+// sortedView serves Ordered over any Set by collect-and-sort.
+type sortedView struct{ set Set }
 
 func (s sortedView) Range(lo, hi Key, yield func(Key, Value) bool) int {
 	if hi < lo {
 		return 0
 	}
 	var items []kvPair
-	s.it.ForEach(func(k Key, v Value) bool {
+	s.set.ForEach(func(k Key, v Value) bool {
 		if k >= lo && k <= hi {
 			items = append(items, kvPair{k, v})
 		}
@@ -287,7 +259,7 @@ func (s sortedView) Min() (Key, Value, bool) {
 	var mk Key
 	var mv Value
 	found := false
-	s.it.ForEach(func(k Key, v Value) bool {
+	s.set.ForEach(func(k Key, v Value) bool {
 		if !found || k < mk {
 			mk, mv, found = k, v, true
 		}
@@ -300,7 +272,7 @@ func (s sortedView) Max() (Key, Value, bool) {
 	var mk Key
 	var mv Value
 	found := false
-	s.it.ForEach(func(k Key, v Value) bool {
+	s.set.ForEach(func(k Key, v Value) bool {
 		if !found || k > mk {
 			mk, mv, found = k, v, true
 		}
@@ -311,8 +283,8 @@ func (s sortedView) Max() (Key, Value, bool) {
 
 // AscendFunc is the iterator shape the ordered implementations expose
 // internally: visit elements with keys >= lo in ascending order until yield
-// returns false. The helpers below derive the whole Ordered + Iterable
-// surface from it.
+// returns false. The helpers below derive ForEach, Size and the whole
+// Ordered surface from it.
 type AscendFunc func(lo Key, yield func(k Key, v Value) bool)
 
 // RangeAscend builds Ordered.Range from an ascend iterator. It enforces the
@@ -339,16 +311,23 @@ func RangeAscend(ascend AscendFunc, lo, hi Key, yield func(Key, Value) bool) int
 	return n
 }
 
-// OrderedVia implements the whole Iterable + Ordered surface over one
-// AscendFunc. The ordered implementations embed it and point Ascend at
-// their own iterator in the constructor, so the four delegation methods
+// OrderedVia implements ForEach, Size and the whole Ordered surface over
+// one AscendFunc. The ordered implementations embed it and point Ascend at
+// their own iterator in the constructor, so the five delegation methods
 // exist once here instead of once per structure.
 type OrderedVia struct {
 	Ascend AscendFunc
 }
 
-// ForEach implements Iterable.
+// ForEach implements Set.
 func (o OrderedVia) ForEach(yield func(Key, Value) bool) { o.Ascend(0, yield) }
+
+// Size implements Set: the number of elements ForEach yields.
+func (o OrderedVia) Size() int {
+	n := 0
+	o.Ascend(0, func(Key, Value) bool { n++; return true })
+	return n
+}
 
 // Range implements Ordered.
 func (o OrderedVia) Range(lo, hi Key, yield func(Key, Value) bool) int {

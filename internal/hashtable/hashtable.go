@@ -77,22 +77,15 @@ func (t *Chained) Insert(k core.Key, v core.Value) bool { return t.InsertCtx(nil
 // Remove deletes k if present.
 func (t *Chained) Remove(k core.Key) (core.Value, bool) { return t.RemoveCtx(nil, k) }
 
-// Size sums the bucket sizes. Quiescent use only.
-func (t *Chained) Size() int {
-	n := 0
-	for _, b := range t.buckets {
-		n += b.Size()
-	}
-	return n
-}
+// Size implements core.Set: the number of elements ForEach yields.
+func (t *Chained) Size() int { return core.Count(t) }
 
-// ForEach implements core.Iterable by delegating to the per-bucket lists
-// (every list in internal/linkedlist is Iterable). Enumeration order is by
-// bucket, not by key.
+// ForEach implements core.Set by delegating to the per-bucket lists.
+// Enumeration order is by bucket, not by key.
 func (t *Chained) ForEach(yield func(core.Key, core.Value) bool) {
 	stop := false
 	for _, b := range t.buckets {
-		b.(core.Iterable).ForEach(func(k core.Key, v core.Value) bool {
+		b.ForEach(func(k core.Key, v core.Value) bool {
 			if !yield(k, v) {
 				stop = true
 			}

@@ -197,23 +197,14 @@ func (j *Java) Insert(k core.Key, v core.Value) bool { return j.InsertCtx(nil, k
 // Remove deletes k if present.
 func (j *Java) Remove(k core.Key) (core.Value, bool) { return j.RemoveCtx(nil, k) }
 
-// Size counts elements. Quiescent use only.
-func (j *Java) Size() int {
-	t := j.table.Load()
-	n := 0
-	for i := range t.buckets {
-		for node := t.buckets[i].Load(); node != nil; node = node.next {
-			n++
-		}
-	}
-	return n
-}
+// Size implements core.Set: the number of elements ForEach yields.
+func (j *Java) Size() int { return core.Count(j) }
 
 // Buckets reports the current bucket-array size (tests observe resizing).
 func (j *Java) Buckets() int { return len(j.table.Load().buckets) }
 
-// ForEach implements core.Iterable: a read-only sweep of one table
-// generation's immutable chains. Like Size, quiescent-snapshot semantics.
+// ForEach implements core.Set: a read-only sweep of one table
+// generation's immutable chains, with quiescent-snapshot semantics.
 func (j *Java) ForEach(yield func(core.Key, core.Value) bool) {
 	t := j.table.Load()
 	for i := range t.buckets {

@@ -151,19 +151,10 @@ func (t *TBB) Insert(k core.Key, v core.Value) bool { return t.InsertCtx(nil, k,
 // Remove deletes k if present.
 func (t *TBB) Remove(k core.Key) (core.Value, bool) { return t.RemoveCtx(nil, k) }
 
-// Size counts elements. Quiescent use only.
-func (t *TBB) Size() int {
-	tab := t.table.Load()
-	n := 0
-	for i := range tab.buckets {
-		for node := tab.buckets[i]; node != nil; node = node.next {
-			n++
-		}
-	}
-	return n
-}
+// Size implements core.Set: the number of elements ForEach yields.
+func (t *TBB) Size() int { return core.Count(t) }
 
-// ForEach implements core.Iterable. Bucket index and stripe index are both
+// ForEach implements core.Set. Bucket index and stripe index are both
 // power-of-two masks of the same hash, so bucket i is guarded by stripe
 // i&(nStripes-1): each bucket's chain is copied out under its stripe's read
 // lock and yielded unlocked (yield must not write the table's stripe being

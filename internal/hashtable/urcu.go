@@ -184,18 +184,10 @@ func (u *URCU) Insert(k core.Key, v core.Value) bool { return u.InsertCtx(nil, k
 // Remove deletes k if present.
 func (u *URCU) Remove(k core.Key) (core.Value, bool) { return u.RemoveCtx(nil, k) }
 
-// Size counts elements. Quiescent use only.
-func (u *URCU) Size() int {
-	n := 0
-	for i := range u.buckets {
-		for node := u.buckets[i].head.Load(); node != nil; node = node.next.Load() {
-			n++
-		}
-	}
-	return n
-}
+// Size implements core.Set: the number of elements ForEach yields.
+func (u *URCU) Size() int { return core.Count(u) }
 
-// ForEach implements core.Iterable. Like every read in this table, the sweep
+// ForEach implements core.Set. Like every read in this table, the sweep
 // runs inside a read-side critical section — an RCU one in the original, an
 // SSMEM epoch in the re-engineered variant — because removed nodes are
 // recycled and are only safe to read from inside one. Each bucket is its own

@@ -123,9 +123,6 @@ func (l *Copy) Insert(k core.Key, v core.Value) bool { return l.InsertCtx(nil, k
 // Remove deletes k if present.
 func (l *Copy) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil, k) }
 
-// Size returns the element count of the current snapshot.
-func (l *Copy) Size() int { return len(l.snap.Load().keys) }
-
 func log2ceil(n int) int {
 	b := 0
 	for v := 1; v < n; v <<= 1 {

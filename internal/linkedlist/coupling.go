@@ -102,12 +102,3 @@ func (l *Coupling) Insert(k core.Key, v core.Value) bool { return l.InsertCtx(ni
 
 // Remove deletes k if present.
 func (l *Coupling) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil, k) }
-
-// Size counts elements. Quiescent use only.
-func (l *Coupling) Size() int {
-	n := 0
-	for curr := l.head.next; curr.key != tailKey; curr = curr.next {
-		n++
-	}
-	return n
-}

@@ -215,16 +215,3 @@ func (l *Harris) Insert(k core.Key, v core.Value) bool { return l.InsertCtx(nil,
 
 // Remove deletes k if present.
 func (l *Harris) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil, k) }
-
-// Size counts unmarked elements. Quiescent use only.
-func (l *Harris) Size() int {
-	n := 0
-	for curr := l.head.next.Load().N; curr != l.tail; {
-		ref := curr.next.Load()
-		if !ref.Marked {
-			n++
-		}
-		curr = ref.N
-	}
-	return n
-}

@@ -1,10 +1,10 @@
-// Ordered iteration (v2 surface) for the linked lists. Every list is a
-// sorted set, so ascend is a plain bounded traversal from the head; the
-// per-type differences are the node encoding and the liveness check, exactly
-// as in the Size methods. Each type embeds core.OrderedVia, which derives
-// ForEach/Range/Min/Max from the ascend iterator (constructors wire it up).
-// Traversals are read-only (ASCY1-style: no stores, no locks, no retries)
-// except Coupling's, and like Size they observe each element at some point
+// Ordered iteration for the linked lists: each list's one whole-structure
+// traversal. Every list is a sorted set, so ascend is a plain bounded
+// traversal from the head; the per-type differences are the node encoding
+// and the liveness check. Each type embeds core.OrderedVia, which derives
+// ForEach/Size/Range/Min/Max from the ascend iterator (constructors wire it
+// up). Traversals are read-only (ASCY1-style: no stores, no locks, no
+// retries) except Coupling's, and they observe each element at some point
 // during the call rather than one atomic snapshot.
 package linkedlist
 

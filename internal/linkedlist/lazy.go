@@ -144,14 +144,3 @@ func (l *Lazy) Insert(k core.Key, v core.Value) bool { return l.InsertCtx(nil, k
 
 // Remove deletes k if present.
 func (l *Lazy) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil, k) }
-
-// Size counts unmarked elements. Quiescent use only.
-func (l *Lazy) Size() int {
-	n := 0
-	for curr := l.head.next.Load(); curr.key != tailKey; curr = curr.next.Load() {
-		if !curr.marked.Load() {
-			n++
-		}
-	}
-	return n
-}

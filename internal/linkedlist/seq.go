@@ -99,16 +99,3 @@ func (l *Seq) Insert(k core.Key, v core.Value) bool { return l.InsertCtx(nil, k,
 
 // Remove deletes k if present.
 func (l *Seq) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil, k) }
-
-// Size counts elements. Quiescent use only.
-func (l *Seq) Size() int {
-	n := 0
-	steps := 0
-	for curr := l.head.next; curr != nil && curr.key != tailKey; curr = curr.next {
-		n++
-		if steps++; l.limit > 0 && steps > l.limit {
-			break
-		}
-	}
-	return n
-}

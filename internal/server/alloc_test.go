@@ -246,8 +246,7 @@ func TestStoreDataPoolingNoAliasing(t *testing.T) {
 }
 
 // TestStoreDataPoolReuseBalance: blocks are freed at most once and reuse
-// actually happens (without -race; see race_on_test.go for why sync.Pool
-// churn strands garbage under the detector).
+// actually happens, with or without -race.
 func TestStoreDataPoolReuseBalance(t *testing.T) {
 	st, err := NewStore("ht-clht-lb", 64, true, 1, false)
 	if err != nil {
@@ -269,7 +268,7 @@ func TestStoreDataPoolReuseBalance(t *testing.T) {
 	if bs.Garbage < 0 {
 		t.Fatalf("negative garbage (double hand-out): %+v", bs)
 	}
-	if bs.Reused == 0 && !raceEnabled {
+	if bs.Reused == 0 {
 		t.Fatalf("no block reuse after 4000 overwrites: %+v", bs)
 	}
 }

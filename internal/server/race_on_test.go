@@ -3,7 +3,8 @@
 package server
 
 // raceEnabled: under the race detector sync.Pool randomly drops Puts, so
-// epoch buffer allocators churn and pending garbage strands (reclaimed by
-// the Go GC, never reused). Reuse-rate assertions only hold without -race;
-// the safety assertions hold always.
+// a pooled Pin allocates and the zero-allocation gates only hold without
+// -race. The value pools' reuse assertions hold under -race too: a dropped
+// epoch allocator is re-adopted from the lease pool's table of every
+// allocator it made, so its pending garbage is still reused.
 const raceEnabled = true

@@ -184,7 +184,7 @@ func TestStoreShardedValuePools(t *testing.T) {
 	if bs.Garbage < 0 {
 		t.Fatalf("negative garbage (double hand-out): %+v", bs)
 	}
-	if bs.Reused == 0 && !raceEnabled {
+	if bs.Reused == 0 {
 		t.Fatalf("no block reuse after 3000 overwrites: %+v", bs)
 	}
 }

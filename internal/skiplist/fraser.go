@@ -318,16 +318,3 @@ func (l *Fraser) Insert(k core.Key, v core.Value) bool { return l.InsertCtx(nil,
 
 // Remove deletes k if present.
 func (l *Fraser) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil, k) }
-
-// Size counts unmarked elements at level 0. Quiescent use only.
-func (l *Fraser) Size() int {
-	n := 0
-	for curr := l.head.next[0].Load().N; curr != l.tail; {
-		ref := curr.next[0].Load()
-		if !ref.Marked {
-			n++
-		}
-		curr = ref.N
-	}
-	return n
-}

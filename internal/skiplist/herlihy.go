@@ -233,14 +233,3 @@ func (l *Herlihy) Insert(k core.Key, v core.Value) bool { return l.InsertCtx(nil
 
 // Remove deletes k if present.
 func (l *Herlihy) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil, k) }
-
-// Size counts live, fully linked elements at level 0. Quiescent use only.
-func (l *Herlihy) Size() int {
-	n := 0
-	for curr := l.head.next[0].Load(); curr.key != tailKey; curr = curr.next[0].Load() {
-		if curr.fullyLinked.Load() && !curr.marked.Load() {
-			n++
-		}
-	}
-	return n
-}

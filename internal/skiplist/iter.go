@@ -2,8 +2,8 @@
 // candidate with a read-only tower descent (the same O(log n) path a search
 // takes, never storing or locking — ASCY1 applies to scans too), then walks
 // level 0 yielding live elements. Each type embeds core.OrderedVia, which
-// derives ForEach/Range/Min/Max from ascend (constructors wire it up). Like
-// Size, a scan observes each element at some point during the call, not one
+// derives ForEach/Size/Range/Min/Max from ascend (constructors wire it up).
+// A scan observes each element at some point during the call, not one
 // atomic snapshot.
 package skiplist
 

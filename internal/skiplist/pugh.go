@@ -310,14 +310,3 @@ func (l *Pugh) Insert(k core.Key, v core.Value) bool { return l.InsertCtx(nil, k
 
 // Remove deletes k if present.
 func (l *Pugh) Remove(k core.Key) (core.Value, bool) { return l.RemoveCtx(nil, k) }
-
-// Size counts live elements at level 0. Quiescent use only.
-func (l *Pugh) Size() int {
-	n := 0
-	for curr := l.head.next[0].Load(); curr.key != tailKey; curr = curr.next[0].Load() {
-		if !curr.deleted.Load() {
-			n++
-		}
-	}
-	return n
-}
